@@ -39,9 +39,7 @@
 //
 // (Router.Route's old health-oblivious signature was renamed
 // RoutePartitions to free the canonical name; a nil Request.Health
-// routes as if every node were up and reproduces its partition sets.
-// sim.Run(d, sol, tr, cfg), the fault-free analytic replay, also
-// remains — it is the ModePlain engine.)
+// routes as if every node were up and reproduces its partition sets.)
 // The search itself is parallel behind core.Options.Parallelism with
 // bit-identical results for any worker count — see DESIGN.md, "Parallel
 // search & the determinism contract".
@@ -49,13 +47,11 @@
 // # API migration (columnar trace redesign)
 //
 // Trace consumers moved from concrete []Txn slices and per-transaction
-// map allocations to cursor- and bitset-based equivalents. The old forms
-// in the left column still work where marked Deprecated; new code uses
+// map allocations to cursor- and bitset-based equivalents; new code uses
 // the right column:
 //
 //	Old form                                    Canonical replacement
 //	------------------------------------------  ------------------------------------------------
-//	trace.(*Trace).Txns() []Txn (Deprecated)    trace.(*Trace).All() / At(i); build with FromTxns
 //	func f(tr *trace.Trace)                     func f(w trace.Workload) — row, columnar & stream
 //	eval.Assigner.TxnPartitions → map[int]bool  … → partition.Set (inline bitset; Min() = coordinator)
 //	eval.Evaluate(d, sol, tr) per-txn maps      a.Index(c).Evaluate() — precomputed join-path index

@@ -2,19 +2,15 @@ package repl
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/db"
-	"repro/internal/eval"
+	"repro/internal/commit"
 	"repro/internal/faults"
 	"repro/internal/obs"
-	"repro/internal/partition"
-	"repro/internal/trace"
 	"repro/internal/transport"
 )
 
@@ -99,18 +95,9 @@ func (c Config) withDefaults(traceLen int) Config {
 	if c.SnapshotLag <= 0 {
 		c.SnapshotLag = 512
 	}
-	if c.ArrivalRateTPS <= 0 {
-		c.ArrivalRateTPS = float64(traceLen) / 8
-		if c.ArrivalRateTPS <= 0 {
-			c.ArrivalRateTPS = 1
-		}
-	}
+	c.ArrivalRateTPS = commit.ArrivalRate(c.ArrivalRateTPS, traceLen)
 	c.Retry = c.Retry.WithDefaults()
-	c.Wire = c.Wire.WithDefaults()
-	if c.Wire.BaseBackoffSec == 0.010 { // faults default is tuned for txn retries
-		c.Wire.BaseBackoffSec = 0.020
-		c.Wire.MaxBackoffSec = 0.200
-	}
+	c.Wire = transport.WirePolicy(c.Wire)
 	if c.AckWait <= 0 {
 		c.AckWait = 25 * time.Millisecond
 	}
@@ -208,19 +195,12 @@ func (r *Result) String() string {
 		r.LostCommits, r.Promotions, r.ConvergedMembers, r.TotalMembers, oracle)
 }
 
-// partOp is one committed write effect routed to a partition group
-// (mirrors twopc's journal shape).
-type partOp struct {
-	part int
-	op   db.Op
-}
-
 // journalEntry is one client-acknowledged transaction: its write effects
 // and, per involved group, the chain sequence of its COMMIT record. A
 // promotion at watermark w loses every entry whose sequence in that
 // group exceeds w.
 type journalEntry struct {
-	ops  []partOp
+	ops  []commit.PartOp
 	seqs map[int]int64
 	lost bool
 }
@@ -249,23 +229,12 @@ func (g *group) liveBackups() []int {
 	return out
 }
 
-// cpState tracks one scripted crash point's qualifying-round counter.
-type cpState struct {
-	cp    faults.CrashPoint
-	count int
-	fired bool
-}
-
 // harness is the wired-up state of one replicated replay.
 type harness struct {
 	cfg Config
 	k   int
-	sc  *faults.Scenario
-	a   *eval.Assigner
-	inj *faults.Injector
 	rec *obs.Recorder
 
-	bus    *transport.Bus // nil under tcp
 	eps    []transport.Transport
 	groups []*group
 	det    []*detector
@@ -275,7 +244,7 @@ type harness struct {
 	wg     *sync.WaitGroup
 
 	driverID int
-	seq      int // monotonic send-attempt counter (chaos resampling)
+	wire     transport.Caller // the driver endpoint's shipping side
 
 	journal []journalEntry
 	res     *Result
@@ -285,30 +254,6 @@ type harness struct {
 func (h *harness) detID(g int) int { return h.k*(h.cfg.Replicas+1) + 1 + g }
 func (h *harness) memberOf(id int) (g, m int) {
 	return id / (h.cfg.Replicas + 1), id % (h.cfg.Replicas + 1)
-}
-
-// send ships one driver frame, bumping the attempt counter so chaos
-// resamples every retransmission.
-func (h *harness) send(ctx context.Context, to int, typ uint8, txn uint64, payload []byte) {
-	h.seq++
-	_ = h.eps[h.driverID].Send(ctx, transport.Msg{
-		Type: typ, From: h.driverID, To: to, Txn: txn, Attempt: h.seq, Payload: payload,
-	})
-}
-
-func (h *harness) recvBy(ctx context.Context, deadline time.Time) (transport.Msg, bool) {
-	rctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	m, err := h.eps[h.driverID].Recv(rctx)
-	return m, err == nil
-}
-
-func (h *harness) window(attempt int) time.Duration {
-	w := time.Duration(h.cfg.Wire.BackoffAt(attempt) * float64(time.Second))
-	if w < h.cfg.AckWait {
-		w = h.cfg.AckWait
-	}
-	return w
 }
 
 // handleAck folds any append-ack into the owning group's watermark book.
@@ -360,11 +305,11 @@ func (h *harness) shipTo(ctx context.Context, g, mem int, target int64, maxAttem
 			// chain): only a snapshot install can catch it up.
 			return h.snapshotTo(ctx, g, mem, traceID, vt)
 		}
-		h.send(ctx, b.id, MsgAppend, traceID, encodeAppend(grp.pr.epoch, base, recs))
+		h.wire.Send(ctx, b.id, MsgAppend, traceID, encodeAppend(grp.pr.epoch, base, recs))
 		h.rec.Record(traceID, obs.EvShip, b.id, attempt, vt, int64(len(recs))<<16|base&0xffff)
-		deadline := time.Now().Add(h.window(attempt))
+		deadline := h.wire.Deadline(h.cfg.AckWait, attempt)
 		for grp.pr.acked[mem] < target {
-			m, got := h.recvBy(ctx, deadline)
+			m, got := h.wire.RecvBy(ctx, deadline)
 			if !got {
 				break
 			}
@@ -379,7 +324,7 @@ func (h *harness) shipTo(ctx context.Context, g, mem int, target int64, maxAttem
 		if b.crashed.Load() {
 			<-b.done
 			grp.dead[mem] = true
-			h.rec.Record(traceID, obs.EvCrash, b.id, attempt, vt, crashPhaseCode(faults.PhaseBackupMidCatchup))
+			h.rec.Record(traceID, obs.EvCrash, b.id, attempt, vt, commit.CrashCode(faults.PhaseBackupMidCatchup))
 			return false
 		}
 		if ctx.Err() != nil {
@@ -398,10 +343,10 @@ func (h *harness) snapshotTo(ctx context.Context, g, mem int, traceID uint64, vt
 	snap := grp.pr.app.DB().EncodeSnapshot()
 	payload := encodeSnapshot(grp.pr.epoch, base, snap)
 	for attempt := 1; attempt <= 4*h.cfg.Wire.MaxAttempts; attempt++ {
-		h.send(ctx, b.id, MsgSnapshotOffer, traceID, payload)
-		deadline := time.Now().Add(h.window(attempt))
+		h.wire.Send(ctx, b.id, MsgSnapshotOffer, traceID, payload)
+		deadline := h.wire.Deadline(h.cfg.AckWait, attempt)
 		for grp.pr.acked[mem] < base {
-			m, got := h.recvBy(ctx, deadline)
+			m, got := h.wire.RecvBy(ctx, deadline)
 			if !got {
 				break
 			}
@@ -555,6 +500,22 @@ func (h *harness) newDetectorFor(g int) *detector {
 		grp.pr.epoch, h.cfg.LeaseTimeout, h.cfg.Wire, h.cfg.AckWait)
 }
 
+// rejoinDead rejoins every dead member slot of group g, in slot order.
+func (h *harness) rejoinDead(ctx context.Context, g int, vt float64) error {
+	grp := h.groups[g]
+	slots := make([]int, 0, len(grp.dead))
+	for m := range grp.dead {
+		slots = append(slots, m)
+	}
+	sort.Ints(slots)
+	for _, m := range slots {
+		if err := h.rejoinMember(ctx, g, m, vt); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // rejoinMember brings a dead slot back as a backup: a deposed primary's
 // diverged log is discarded and snapshot-installed; a cleanly-crashed
 // backup resumes from its durable watermark via a log-tail ship.
@@ -600,108 +561,4 @@ func (h *harness) rejoinMember(ctx context.Context, g, mem int, vt float64) erro
 	}
 	h.rec.Record(0, obs.EvCatchup, memberID(g, mem, h.cfg.Replicas), 0, vt, grp.pr.seq-before)
 	return nil
-}
-
-// crashPhaseCode maps a crash-point phase to its EvCrash arg (extending
-// the twopc vocabulary with the replication phases).
-func crashPhaseCode(phase string) int64 {
-	switch phase {
-	case faults.PhaseBeforePrepare:
-		return 1
-	case faults.PhaseBeforeCommit:
-		return 2
-	case faults.PhaseAfterDecision:
-		return 3
-	case faults.PhasePrimaryMidShip:
-		return 4
-	case faults.PhaseBackupMidCatchup:
-		return 5
-	default:
-		return 0
-	}
-}
-
-// writeEffects routes a transaction's writes to owning groups as touch
-// ops (mirrors twopc.writeEffects: placed keys to their group,
-// replicated-table writes to every group, unplaceable keys to the
-// coordinator). Parts is sorted.
-func writeEffects(a *eval.Assigner, t *trace.Txn, k, coord int) ([]int, map[int][]db.Op) {
-	opsAt := map[int][]db.Op{}
-	add := func(p int, acc trace.Access) {
-		opsAt[p] = append(opsAt[p], db.Op{Kind: db.OpTouch, Table: acc.Table, Key: acc.Key})
-	}
-	for _, acc := range t.Accesses {
-		if !acc.Write {
-			continue
-		}
-		p, ok := a.PlaceKey(acc)
-		switch {
-		case !ok:
-			add(coord, acc)
-		case p == partition.Replicated:
-			for n := 0; n < k; n++ {
-				add(n, acc)
-			}
-		default:
-			add(p, acc)
-		}
-	}
-	parts := make([]int, 0, len(opsAt))
-	for p := range opsAt {
-		parts = append(parts, p)
-	}
-	sort.Ints(parts)
-	return parts, opsAt
-}
-
-// participants mirrors the simulator's transaction classification.
-func participants(a *eval.Assigner, t *trace.Txn, k, txnIndex int) (nodes []int, coord int, distributed bool) {
-	parts, writesReplicated, allPlaced := a.TxnPartitions(t)
-	switch {
-	case writesReplicated || !allPlaced:
-		nodes = make([]int, k)
-		for n := range nodes {
-			nodes[n] = n
-		}
-		return nodes, coordinatorOf(&parts, k, txnIndex), true
-	case parts.Empty():
-		return nil, coordinatorOf(&parts, k, txnIndex), false
-	case parts.Len() == 1:
-		c := coordinatorOf(&parts, k, txnIndex)
-		return []int{c}, c, false
-	default:
-		nodes = parts.AppendTo(make([]int, 0, parts.Len()))
-		return nodes, coordinatorOf(&parts, k, txnIndex), true
-	}
-}
-
-func coordinatorOf(parts *partition.Set, k, txnIndex int) int {
-	if m := parts.Min(); m >= 0 {
-		return m
-	}
-	return txnIndex % k
-}
-
-// flattenOps serializes per-group write effects in group order.
-func flattenOps(parts []int, opsAt map[int][]db.Op) []partOp {
-	var out []partOp
-	for _, p := range parts {
-		for _, op := range opsAt[p] {
-			out = append(out, partOp{part: p, op: op})
-		}
-	}
-	return out
-}
-
-func coordPayload(coord int) []byte {
-	return binary.AppendUvarint(nil, uint64(coord))
-}
-
-func contains(parts []int, n int) bool {
-	for _, p := range parts {
-		if p == n {
-			return true
-		}
-	}
-	return false
 }

@@ -112,9 +112,9 @@ func (dt *detector) watermarkOf(ctx context.Context, cand int) (int64, bool) {
 		_ = dt.ep.Send(ctx, transport.Msg{
 			Type: MsgWatermarkQuery, From: dt.id, To: cand, Attempt: attempt,
 		})
-		deadline := time.Now().Add(dt.window(attempt))
+		deadline := time.Now().Add(transport.ReplyWindow(dt.wire, dt.ackWait, attempt))
 		for {
-			m, ok := dt.recvBy(ctx, deadline)
+			m, ok := transport.RecvBy(ctx, dt.ep, deadline)
 			if !ok {
 				break
 			}
@@ -142,9 +142,9 @@ func (dt *detector) deliver(ctx context.Context, to int, typ uint8, payload []by
 		_ = dt.ep.Send(ctx, transport.Msg{
 			Type: typ, From: dt.id, To: to, Attempt: attempt, Payload: payload,
 		})
-		deadline := time.Now().Add(dt.window(attempt))
+		deadline := time.Now().Add(transport.ReplyWindow(dt.wire, dt.ackWait, attempt))
 		for {
-			m, ok := dt.recvBy(ctx, deadline)
+			m, ok := transport.RecvBy(ctx, dt.ep, deadline)
 			if !ok {
 				break
 			}
@@ -157,19 +157,4 @@ func (dt *detector) deliver(ctx context.Context, to int, typ uint8, payload []by
 		}
 	}
 	return false
-}
-
-func (dt *detector) window(attempt int) time.Duration {
-	w := time.Duration(dt.wire.BackoffAt(attempt) * float64(time.Second))
-	if w < dt.ackWait {
-		w = dt.ackWait
-	}
-	return w
-}
-
-func (dt *detector) recvBy(ctx context.Context, deadline time.Time) (transport.Msg, bool) {
-	rctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	m, err := dt.ep.Recv(rctx)
-	return m, err == nil
 }

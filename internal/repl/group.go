@@ -60,9 +60,9 @@ type primary struct {
 	acked map[int]int64
 }
 
-// append extends the chain: durable log append, then the applier (the
+// Append extends the chain: durable log append, then the applier (the
 // primary's own store) and the in-memory history the shipper reads.
-func (p *primary) append(typ wal.RecType, txn uint64, payload []byte) error {
+func (p *primary) Append(typ wal.RecType, txn uint64, payload []byte) error {
 	if err := p.log.Append(typ, txn, payload); err != nil {
 		return err
 	}

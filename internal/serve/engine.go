@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 
+	"repro/internal/commit"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/faults"
@@ -127,7 +128,7 @@ type engine struct {
 	rt     *router.Router
 	asg    *eval.Assigner
 	inj    *faults.Injector
-	exec   *executor
+	cl     *commit.Cluster
 	adm    *admission
 	brs    []*breaker
 	slo    *obs.SLOMonitor
@@ -184,7 +185,8 @@ func newEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace
 	if err != nil {
 		return nil, err
 	}
-	exec, err := newExecutor(d.Schema(), sol.K, cfg.WALDir, cfg.Recorder)
+	// Memory-only when WALDir is empty; serving runs never checkpoint.
+	cl, err := commit.NewCluster(d.Schema(), sol.K, cfg.WALDir, 0, cfg.Recorder)
 	if err != nil {
 		return nil, err
 	}
@@ -196,7 +198,7 @@ func newEngine(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace
 		rt:     rt,
 		asg:    asg,
 		inj:    inj,
-		exec:   exec,
+		cl:     cl,
 		adm:    newAdmission(cfg.Admission),
 		slo:    obs.NewSLOMonitor(cfg.SLO),
 		rec:    cfg.Recorder,
@@ -483,8 +485,7 @@ func (e *engine) resolve(info *doneInfo, now float64) error {
 		return nil
 	}
 	coord := info.dec.Partitions[0]
-	writeParts, opsAt := writeEffects(e.asg, req.t, e.sol.K, coord)
-	if err := e.exec.commit(req.traceID, now, writeParts, opsAt, coord); err != nil {
+	if err := e.commitWrites(req, now, coord); err != nil {
 		return err
 	}
 	for _, p := range info.dec.Partitions {
@@ -511,6 +512,22 @@ func (e *engine) resolve(info *doneInfo, now float64) error {
 	e.observeExecuted(latency, true)
 	e.finish(req, now)
 	return nil
+}
+
+// commitWrites executes a committed request's write effects through
+// the commit core: a local commit on a single write partition, a full
+// logged 2PC across several, coordinated by the routed coordinator when
+// it stages writes and by the lowest write partition otherwise.
+func (e *engine) commitWrites(req *request, now float64, coord int) error {
+	parts, opsAt := commit.WriteEffects(e.asg, req.t, e.sol.K, coord)
+	if len(parts) == 0 {
+		return nil // read-only: nothing durable to do
+	}
+	if !commit.Contains(parts, coord) {
+		coord = parts[0]
+	}
+	e.cl.Stamp.Trace, e.cl.Stamp.VT = req.traceID, now
+	return e.cl.Commit(e.cl.NextTxn(), coord, parts, opsAt, len(parts) > 1)
 }
 
 // retryOrFinal decides a failed (or shed) attempt's fate: a retry is
@@ -618,8 +635,8 @@ func (e *engine) finishRun() (*Result, error) {
 		res.BreakerTrips += res.Breakers[p].Trips
 	}
 	cServeTrips.Add(int64(res.BreakerTrips))
-	res.WALBytes = e.exec.walBytes()
-	res.StateDigest = e.exec.stateDigest()
+	res.WALBytes = e.cl.WALBytes()
+	res.StateDigest = stateDigest(e.cl)
 	cServeRuns.Inc()
 	obs.Set("serve.goodput_tps", res.GoodputTPS)
 	obs.Set("serve.admit_rate_tps", res.AdmitRateFinal)

@@ -380,6 +380,6 @@ func Run(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.Trace
 	if err != nil {
 		return nil, err
 	}
-	defer e.exec.closeAll()
+	defer e.cl.Close()
 	return e.run()
 }

@@ -87,7 +87,7 @@ func TestChaosCrashForcesRetries(t *testing.T) {
 		t.Errorf("NodeDownSec = %v", r.NodeDownSec)
 	}
 	// Retried work is extra: total chaos work exceeds the failure-free run.
-	base, err := Run(d, sol, tr, Config{})
+	base, err := run(d, sol, tr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestSpeedupMath(t *testing.T) {
 	// k=1: all work on one node, speedup exactly 1 regardless of length.
 	for _, n := range []int{50, 400} {
 		tr := fixture.MixedTrace(d, n, 3)
-		r, err := Run(d, custInfoSolution(1), tr, Config{})
+		r, err := run(d, custInfoSolution(1), tr, Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func TestSpeedupMath(t *testing.T) {
 		}
 	}
 	// Empty trace: zero everything.
-	r, err := Run(d, custInfoSolution(2), &trace.Trace{}, Config{})
+	r, err := run(d, custInfoSolution(2), &trace.Trace{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

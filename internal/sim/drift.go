@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/commit"
 	"repro/internal/db"
 	"repro/internal/drift"
 	"repro/internal/eval"
@@ -14,7 +15,7 @@ import (
 )
 
 // Drift replay: the closed-loop half of the drift-adaptation work. The
-// analytic replay of Run is extended with a window loop: each fixed-size
+// analytic plain replay is extended with a window loop: each fixed-size
 // trace window is replayed under the currently deployed solution, the
 // drift detector (internal/drift) scores the window, and — in adaptive
 // mode — a drift trigger warm-re-runs the partitioner, plans a bounded
@@ -215,20 +216,14 @@ func windowStats(a *eval.Assigner, w *trace.Trace, k int) (distFrac float64, hea
 	}
 	dist := 0
 	for i, t := range w.All() {
-		parts, wr, ap := a.TxnPartitions(t)
-		switch {
-		case wr || !ap:
-			dist++
-			for n := 0; n < k; n++ {
-				heat[n]++
-			}
-		case parts.Len() > 1:
-			dist++
-			parts.ForEach(func(n int) {
-				heat[n]++
-			})
-		default:
-			heat[coordinator(&parts, k, i)]++
+		nodes, coord, distributed := commit.Participants(a, t, k, i)
+		if !distributed {
+			heat[coord]++
+			continue
+		}
+		dist++
+		for _, n := range nodes {
+			heat[n]++
 		}
 	}
 	return float64(dist) / float64(w.Len()), heat
@@ -300,27 +295,11 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 		windowDist := 0
 		for i, t := range win.All() {
 			gi := base + i
-			parts, wr, ap := asg.TxnPartitions(t)
-			distributed := false
-			txnWork := 0.0
-			switch {
-			case wr || !ap:
-				distributed = true
-				for n := 0; n < sol.K; n++ {
-					res.NodeWork[n] += cfg.ParticipantWork
-				}
-				res.NodeWork[coordinator(&parts, sol.K, gi)] += cfg.CoordWork
-				txnWork = float64(sol.K)*cfg.ParticipantWork + cfg.CoordWork
-			case parts.Len() <= 1:
-				res.NodeWork[coordinator(&parts, sol.K, gi)] += cfg.LocalWork
-				txnWork = cfg.LocalWork
-			default:
-				distributed = true
-				parts.ForEach(func(n int) {
-					res.NodeWork[n] += cfg.ParticipantWork
-				})
-				res.NodeWork[coordinator(&parts, sol.K, gi)] += cfg.CoordWork
-				txnWork = float64(parts.Len())*cfg.ParticipantWork + cfg.CoordWork
+			nodes, coord, distributed := commit.Participants(asg, t, sol.K, gi)
+			chargeCommit(res.NodeWork, nodes, coord, distributed, cfg.Config)
+			txnWork := cfg.LocalWork
+			if distributed {
+				txnWork = float64(len(nodes))*cfg.ParticipantWork + cfg.CoordWork
 			}
 			if distributed {
 				res.Distributed++
@@ -350,7 +329,7 @@ func runDrift(ctx context.Context, d *db.DB, sol *partition.Solution, tr *trace.
 					}
 				}
 				if touchesMoved && touchesOther {
-					res.NodeWork[coordinator(&parts, sol.K, gi)] += cfg.DualRouteWork
+					res.NodeWork[coord] += cfg.DualRouteWork
 					txnWork += cfg.DualRouteWork
 					res.DualRouted++
 					cDriftDual.Inc()

@@ -73,7 +73,7 @@ func TestDriftStaticMatchesRunTotals(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 400, 2)
 	sol := custInfoSolution(2)
-	base, err := Run(d, sol, tr, Config{})
+	base, err := run(d, sol, tr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,30 +14,11 @@ import (
 	"repro/internal/twopc"
 )
 
-// Four PRs of organic growth left this package with six mode-specific
-// entry points plus their *Context twins. The config-first API below
-// replaced the sprawl with one entry point:
-//
-//	res, err := sim.New(sim.Scenario{
-//	    Mode:     sim.ModeChaos,
-//	    DB:       d,
-//	    Solution: sol,
-//	    Trace:    tr,
-//	    Chaos:    sim.ChaosConfig{...},
-//	    Faults:   scenario,
-//	    Seed:     42,
-//	}).Run(ctx)
-//
-// The deprecated wrappers (RunChaos, RunChaosDurable, RunDrift*) have
-// been removed after a release of grace; their engines live on as the
-// unexported runChaos/runChaosDurable/runDrift behind the dispatch. See
-// doc.go at the repository root for the migration table.
-
 // Mode selects which replay a Scenario describes.
 type Mode int
 
 const (
-	// ModePlain is the fault-free analytic replay (sim.Run).
+	// ModePlain is the fault-free analytic replay.
 	ModePlain Mode = iota
 	// ModeChaos is the fault-injected analytic replay.
 	ModeChaos
@@ -230,7 +211,7 @@ func (r *Runner) Run(ctx context.Context) (*RunResult, error) {
 	case ModePlain:
 		_, span := obs.StartSpan(ctx, "sim/plain")
 		defer span.End()
-		res, err := Run(sc.DB, sc.Solution, sc.Trace, sc.Cost)
+		res, err := run(sc.DB, sc.Solution, sc.Trace, sc.Cost)
 		if err != nil {
 			return nil, err
 		}

@@ -28,11 +28,11 @@ func custInfoSolution(k int) *partition.Solution {
 func TestPerfectPartitioningScales(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 400, 2)
-	r1, err := Run(d, custInfoSolution(1), tr, Config{})
+	r1, err := run(d, custInfoSolution(1), tr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(d, custInfoSolution(2), tr, Config{})
+	r2, err := run(d, custInfoSolution(2), tr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestDistributedOverheadHurts(t *testing.T) {
 		singleCol("CUSTOMER_ACCOUNT", "CA_ID"), partition.NewHash(4)))
 	bad.Set(partition.NewReplicated("HOLDING_SUMMARY"))
 	good := custInfoSolution(4)
-	rb, err := Run(d, bad, tr, Config{})
+	rb, err := run(d, bad, tr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rg, err := Run(d, good, tr, Config{})
+	rg, err := run(d, good, tr, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestReplicatedWriteChargesEveryone(t *testing.T) {
 	col.Begin("W", nil)
 	col.Write("TRADE", value.MakeKey(value.NewInt(1)))
 	col.Commit()
-	r, err := Run(d, sol, col.Trace(), Config{})
+	r, err := run(d, sol, col.Trace(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestReplicatedWriteChargesEveryone(t *testing.T) {
 
 func TestEmptyTraceAndDefaults(t *testing.T) {
 	d := fixture.CustInfoDB()
-	r, err := Run(d, custInfoSolution(2), &trace.Trace{}, Config{})
+	r, err := run(d, custInfoSolution(2), &trace.Trace{}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestEmptyTraceAndDefaults(t *testing.T) {
 		t.Errorf("empty trace: %+v", r)
 	}
 	// Invalid solutions are rejected.
-	if _, err := Run(d, partition.NewSolution("bad", 0), &trace.Trace{}, Config{}); err == nil {
+	if _, err := run(d, partition.NewSolution("bad", 0), &trace.Trace{}, Config{}); err == nil {
 		t.Error("invalid solution must error")
 	}
 }
@@ -184,7 +184,7 @@ func TestWorkConservationProperty(t *testing.T) {
 		n := 20 + rng.Intn(80)
 		tr := fixture.MixedTrace(d, n, seed)
 		k := 1 + rng.Intn(8)
-		r, err := Run(d, custInfoSolution(k), tr, Config{})
+		r, err := run(d, custInfoSolution(k), tr, Config{})
 		if err != nil {
 			return false
 		}

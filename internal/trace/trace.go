@@ -89,8 +89,7 @@ func (t *Txn) Tables() []string {
 
 // Trace is a bag of transactions (paper Definition 1's workload), stored
 // row-oriented. Build one with FromTxns, Append, or a Collector; read it
-// through the cursor API (All, Class, At) or the deprecated Txns
-// accessor. For large workloads prefer the columnar forms (Columnarize,
+// through the cursor API (All, Class, At). For large workloads prefer the columnar forms (Columnarize,
 // OpenColumnar), which implement the same cursor contract.
 type Trace struct {
 	txns []Txn
@@ -112,14 +111,6 @@ type traceCache struct {
 // FromTxns wraps a transaction slice as a Trace, taking ownership of the
 // slice.
 func FromTxns(txns []Txn) *Trace { return &Trace{txns: txns} }
-
-// Txns returns the underlying transaction slice.
-//
-// Deprecated: walk the trace through All, Class or At instead — they are
-// implemented by every trace representation (row, columnar, streaming),
-// while Txns exists only on the materialized row form. Callers must not
-// grow the returned slice; use Append.
-func (tr *Trace) Txns() []Txn { return tr.txns }
 
 // Append adds transactions to the trace.
 func (tr *Trace) Append(txns ...Txn) { tr.txns = append(tr.txns, txns...) }

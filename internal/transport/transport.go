@@ -30,6 +30,7 @@ package transport
 import (
 	"context"
 	"errors"
+	"fmt"
 
 	"repro/internal/obs"
 )
@@ -67,4 +68,45 @@ type Transport interface {
 	Recv(ctx context.Context) (Msg, error)
 	// Close tears the endpoint down; subsequent sends to it are dropped.
 	Close() error
+}
+
+// Network wires n endpoints (ids 0..n-1) over the named wire, each
+// wrapped in the chaos layer under pol: "bus" is the in-proc Bus
+// (returned so callers can gate delivery on scripted health), "tcp"
+// loopback sockets (the returned Bus is nil).
+func Network(wire string, n int, pol FaultPolicy) (*Bus, []Transport, error) {
+	eps := make([]Transport, n)
+	switch wire {
+	case "bus":
+		bus := NewBus()
+		for id := range eps {
+			ep, err := bus.Endpoint(id)
+			if err != nil {
+				return nil, nil, err
+			}
+			eps[id] = WithChaos(ep, pol)
+		}
+		return bus, eps, nil
+	case "tcp":
+		tcps := make([]*TCPEndpoint, n)
+		peers := make(map[int]string, n)
+		for id := range eps {
+			ep, err := ListenTCP(id, "127.0.0.1:0")
+			if err != nil {
+				for _, open := range tcps[:id] {
+					open.Close()
+				}
+				return nil, nil, err
+			}
+			tcps[id] = ep
+			eps[id] = WithChaos(ep, pol)
+			peers[id] = ep.Addr()
+		}
+		for _, ep := range tcps {
+			ep.SetPeers(peers)
+		}
+		return nil, eps, nil
+	default:
+		return nil, nil, fmt.Errorf("transport: unknown wire %q", wire)
+	}
 }

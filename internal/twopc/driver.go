@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/commit"
 	"repro/internal/db"
 	"repro/internal/faults"
 	"repro/internal/transport"
@@ -23,11 +24,7 @@ type driverConfig struct {
 }
 
 func (c driverConfig) withDefaults() driverConfig {
-	c.wire = c.wire.WithDefaults()
-	if c.wire.BaseBackoffSec == 0.010 { // faults default is tuned for txn retries
-		c.wire.BaseBackoffSec = 0.020
-		c.wire.MaxBackoffSec = 0.200
-	}
+	c.wire = transport.WirePolicy(c.wire)
 	if c.voteWait <= 0 {
 		c.voteWait = 25 * time.Millisecond
 	}
@@ -37,20 +34,17 @@ func (c driverConfig) withDefaults() driverConfig {
 	return c
 }
 
-// driver is the 2PC coordinator process: it owns one endpoint and runs
-// one transaction round at a time. Every send bumps a monotonic attempt
-// counter, so a retransmission is a distinct frame that the chaos layer
-// resamples — the per-round retransmission count is a pure function of
-// the seed.
+// driver is the 2PC coordinator process: it owns one endpoint (as a
+// transport.Caller, so retransmissions resample deterministically) and
+// runs one transaction round at a time.
 type driver struct {
-	id  int
-	ep  transport.Transport
+	transport.Caller
 	cfg driverConfig
-	seq int
 }
 
-func newDriver(id int, ep transport.Transport, cfg driverConfig) *driver {
-	return &driver{id: id, ep: ep, cfg: cfg.withDefaults()}
+func newDriver(ep transport.Transport, cfg driverConfig) *driver {
+	cfg = cfg.withDefaults()
+	return &driver{Caller: transport.Caller{EP: ep, Wire: cfg.wire}, cfg: cfg}
 }
 
 // roundOutcome is what one 2PC round left behind.
@@ -70,32 +64,6 @@ type roundOutcome struct {
 	unresolved []int
 }
 
-// send ships one frame, bumping the attempt counter.
-func (d *driver) send(ctx context.Context, to int, typ uint8, txn uint64, payload []byte) {
-	d.seq++
-	_ = d.ep.Send(ctx, transport.Msg{
-		Type: typ, From: d.id, To: to, Txn: txn, Attempt: d.seq, Payload: payload,
-	})
-}
-
-// recvBy waits for the next frame until the deadline.
-func (d *driver) recvBy(ctx context.Context, deadline time.Time) (transport.Msg, bool) {
-	rctx, cancel := context.WithDeadline(ctx, deadline)
-	defer cancel()
-	m, err := d.ep.Recv(rctx)
-	return m, err == nil
-}
-
-// waitFor is the reply window for attempt number n: the base window
-// stretched by the capped-exponential wire policy.
-func (d *driver) waitFor(base time.Duration, attempt int) time.Duration {
-	w := time.Duration(d.cfg.wire.BackoffAt(attempt) * float64(time.Second))
-	if w < base {
-		w = base
-	}
-	return w
-}
-
 // gatherVotes broadcasts MsgPrepare to parts and collects votes,
 // retransmitting to silent participants with bumped attempts. It fails
 // as soon as any participant votes no or a pending participant is dead.
@@ -107,12 +75,12 @@ func (d *driver) gatherVotes(ctx context.Context, txn uint64, coord int, parts [
 	for attempt := 1; attempt <= d.cfg.wire.MaxAttempts; attempt++ {
 		for _, pt := range parts {
 			if pending[pt] && !dead(pt) {
-				d.send(ctx, pt, MsgPrepare, txn, encodePrepare(coord, ops[pt]))
+				d.Send(ctx, pt, MsgPrepare, txn, encodePrepare(coord, ops[pt]))
 			}
 		}
-		deadline := time.Now().Add(d.waitFor(d.cfg.voteWait, attempt))
+		deadline := d.Deadline(d.cfg.voteWait, attempt)
 		for len(pending) > 0 {
-			m, got := d.recvBy(ctx, deadline)
+			m, got := d.RecvBy(ctx, deadline)
 			if !got {
 				break
 			}
@@ -162,10 +130,10 @@ func (d *driver) decide(ctx context.Context, txn uint64, typ uint8, to int, dead
 		if dead(to) || ctx.Err() != nil {
 			return false
 		}
-		d.send(ctx, to, typ, txn, nil)
-		deadline := time.Now().Add(d.waitFor(d.cfg.ackWait, attempt))
+		d.Send(ctx, to, typ, txn, nil)
+		deadline := d.Deadline(d.cfg.ackWait, attempt)
 		for {
-			m, got := d.recvBy(ctx, deadline)
+			m, got := d.RecvBy(ctx, deadline)
 			if !got {
 				break
 			}
@@ -214,7 +182,7 @@ func (d *driver) round2PC(ctx context.Context, txn uint64, coord int, parts []in
 // participant at must-deliver persistence; a target that stays silent
 // past that is left for the termination protocol or the standby.
 func (d *driver) fanOut(ctx context.Context, txn uint64, typ uint8, coord int, parts []int, dead func(int) bool) {
-	if !contains(parts, coord) {
+	if !commit.Contains(parts, coord) {
 		d.decide(ctx, txn, typ, coord, dead, 0)
 	}
 	for _, pt := range parts {
@@ -225,10 +193,10 @@ func (d *driver) fanOut(ctx context.Context, txn uint64, typ uint8, coord int, p
 // commitLocal runs the single-partition fast path.
 func (d *driver) commitLocal(ctx context.Context, txn uint64, part int, ops []db.Op) bool {
 	for attempt := 1; attempt <= d.cfg.wire.MaxAttempts; attempt++ {
-		d.send(ctx, part, MsgCommitLocal, txn, encodeCommitLocal(ops))
-		deadline := time.Now().Add(d.waitFor(d.cfg.ackWait, attempt))
+		d.Send(ctx, part, MsgCommitLocal, txn, encodeCommitLocal(ops))
+		deadline := d.Deadline(d.cfg.ackWait, attempt)
 		for {
-			m, got := d.recvBy(ctx, deadline)
+			m, got := d.RecvBy(ctx, deadline)
 			if !got {
 				break
 			}
@@ -254,13 +222,4 @@ func deadOf(parts []int, dead func(int) bool) []int {
 		}
 	}
 	return out
-}
-
-func contains(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -2,12 +2,11 @@ package twopc
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/db"
+	"repro/internal/commit"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/schema"
@@ -27,9 +26,9 @@ var (
 
 // Crash phases a participant can be armed with (atomically, by the
 // harness realizing a faults.CrashPoint). The participant dies on the
-// next protocol message the phase scripts, leaving exactly the WAL shape
-// the in-process engine produced: a torn PREPARE, a torn COMMIT
-// decision, or a durable decision nobody heard.
+// next protocol message the phase scripts, leaving the commit core's
+// crash shapes: a torn PREPARE, a torn COMMIT decision, or a durable
+// decision nobody heard.
 const (
 	crashNone int32 = iota
 	crashBeforePrepare
@@ -87,59 +86,53 @@ func (c ParticipantConfig) withDefaults() ParticipantConfig {
 	return c
 }
 
-// inDoubtEntry is one prepared-undecided transaction a participant
-// holds, with its termination-protocol schedule.
-type inDoubtEntry struct {
-	coord     int
-	ops       []db.Op
+// termination is the termination-protocol schedule of one transaction
+// the participant holds in doubt.
+type termination struct {
 	nextQuery time.Time
 	attempts  int
 }
 
-// Participant is one partition server: a store, a WAL, and a
-// single-goroutine message loop (Serve) speaking the twopc protocol.
+// Participant is one partition server: the commit core's partition
+// state machine (store, WAL, checkpoint cadence, in-doubt holds) behind
+// a single-goroutine message loop (Serve) speaking the twopc protocol.
 // While it holds an in-doubt transaction it refuses new writes
 // (VoteNo/ReasonBlocked) and suppresses checkpoints; once the decision
 // wait exceeds DecisionTimeout it runs the termination protocol, and an
 // explicit "no decision logged" answer resolves it by presumed abort.
 type Participant struct {
 	id  int
-	sc  *schema.Schema
 	ep  transport.Transport
 	cfg ParticipantConfig
 
-	store *db.DB
-	log   *wal.Log
+	part *commit.Partition
 
-	decisions    map[uint64]bool
-	inDoubt      map[uint64]*inDoubtEntry
-	inDoubtOrder []uint64
-	commitsSince int
+	decisions map[uint64]bool
+	// term holds the termination schedule of every transaction part
+	// holds in doubt.
+	term map[uint64]*termination
 
 	crashArm atomic.Int32
 	crashed  atomic.Bool
 
 	// Post-run accounting, read only after Serve returns.
-	checkpoints    int
-	walBytes       int64
 	presumedAborts int
 }
 
 // NewParticipant creates partition id's server over dir's WAL.
 func NewParticipant(id int, sc *schema.Schema, dir string, ep transport.Transport, cfg ParticipantConfig) (*Participant, error) {
-	log, err := wal.Create(wal.PartitionLogPath(dir, id))
+	cfg = cfg.withDefaults()
+	part, err := commit.NewPartition(id, sc, wal.PartitionLogPath(dir, id), cfg.CheckpointEvery, nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Participant{
 		id:        id,
-		sc:        sc,
 		ep:        ep,
-		cfg:       cfg.withDefaults(),
-		store:     db.New(sc),
-		log:       log,
+		cfg:       cfg,
+		part:      part,
 		decisions: map[uint64]bool{},
-		inDoubt:   map[uint64]*inDoubtEntry{},
+		term:      map[uint64]*termination{},
 	}, nil
 }
 
@@ -156,16 +149,11 @@ func (p *Participant) ArmCrash(phase string) { p.crashArm.Store(crashCode(phase)
 func (p *Participant) Crashed() bool { return p.crashed.Load() }
 
 // Checkpoints returns the checkpoint count (read after Serve returns).
-func (p *Participant) Checkpoints() int { return p.checkpoints }
+func (p *Participant) Checkpoints() int { return p.part.Checkpoints() }
 
 // WALBytes returns the durable log length, 0 for a crashed participant
-// (mirroring the in-process engine, which only totals live logs).
-func (p *Participant) WALBytes() int64 {
-	if p.crashed.Load() {
-		return 0
-	}
-	return p.walBytes
-}
+// (read after Serve returns).
+func (p *Participant) WALBytes() int64 { return p.part.WALBytes() }
 
 // PresumedAborts counts in-doubt transactions this participant resolved
 // via the presumed-abort termination protocol (read after Serve).
@@ -179,14 +167,9 @@ func (p *Participant) InDoubt() []inDoubtPair { return p.scanPairs() }
 // closes, or a scripted crash fires. It owns all participant state; no
 // locking is needed beyond the crash-arm atomics.
 func (p *Participant) Serve(ctx context.Context) error {
-	defer func() {
-		p.walBytes = p.log.Bytes()
-		if !p.crashed.Load() {
-			// End-of-run full-cluster crash: the log is closed as-is, the
-			// in-memory store is lost, recovery replays the file.
-			p.log.Close()
-		}
-	}()
+	// End-of-run full-cluster crash: the log is closed as-is, the
+	// in-memory store is lost, recovery replays the file.
+	defer p.part.Close()
 	for {
 		rctx, cancel := p.recvCtx(ctx)
 		m, err := p.ep.Recv(rctx)
@@ -216,7 +199,7 @@ func (p *Participant) Serve(ctx context.Context) error {
 // deadline, when one is pending.
 func (p *Participant) recvCtx(ctx context.Context) (context.Context, context.CancelFunc) {
 	var min time.Time
-	for _, e := range p.inDoubt {
+	for _, e := range p.term {
 		if e.attempts >= p.cfg.QueryRetry.MaxAttempts {
 			continue // budget exhausted: stay blocked, recovery resolves
 		}
@@ -242,7 +225,7 @@ func (p *Participant) reply(ctx context.Context, m transport.Msg, typ uint8, pay
 // appended — including a torn tail.
 func (p *Participant) crash() {
 	p.crashed.Store(true)
-	p.log.Close()
+	p.part.Kill()
 	p.ep.Close()
 }
 
@@ -288,7 +271,7 @@ func (p *Participant) decided(txn uint64) (decided, commit bool) {
 }
 
 func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool, error) {
-	if p.inDoubt[m.Txn] != nil {
+	if p.part.Holds(m.Txn) {
 		// Retransmitted prepare for a transaction already staged: re-vote,
 		// don't restage.
 		p.reply(ctx, m, MsgVoteYes, nil)
@@ -304,7 +287,7 @@ func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool,
 		}
 		return false, nil
 	}
-	if len(p.inDoubt) > 0 {
+	if p.part.InDoubt() {
 		cVotesNo.Inc()
 		p.reply(ctx, m, MsgVoteNo, []byte{ReasonBlocked})
 		return false, nil
@@ -318,34 +301,23 @@ func (p *Participant) handlePrepare(ctx context.Context, m transport.Msg) (bool,
 	if p.crashArm.CompareAndSwap(crashBeforePrepare, crashNone) {
 		// Die mid-append of the PREPARE record: staged writes and a torn
 		// tail, no vote — the coordinator's vote timeout aborts the round.
-		if err := p.stage(m.Txn, ops); err != nil {
-			return false, err
-		}
-		if err := p.log.AppendTorn(wal.RecPrepare, m.Txn, coordPayload(coord), 3); err != nil {
+		if err := p.part.PrepareTorn(m.Txn, coord, ops); err != nil {
 			return false, err
 		}
 		p.crash()
 		return true, nil
 	}
-	if err := p.stage(m.Txn, ops); err != nil {
-		return false, err
-	}
-	if err := p.log.Append(wal.RecPrepare, m.Txn, coordPayload(coord)); err != nil {
+	if err := p.part.Prepare(m.Txn, coord, ops); err != nil {
 		return false, err
 	}
 	cPrepares.Inc()
-	p.inDoubt[m.Txn] = &inDoubtEntry{
-		coord:     coord,
-		ops:       ops,
-		nextQuery: time.Now().Add(p.cfg.DecisionTimeout),
-	}
-	p.inDoubtOrder = append(p.inDoubtOrder, m.Txn)
+	p.term[m.Txn] = &termination{nextQuery: time.Now().Add(p.cfg.DecisionTimeout)}
 	p.reply(ctx, m, MsgVoteYes, nil)
 	return false, nil
 }
 
 func (p *Participant) handleCommitLocal(ctx context.Context, m transport.Msg) error {
-	if len(p.inDoubt) > 0 {
+	if p.part.InDoubt() {
 		cVotesNo.Inc()
 		p.reply(ctx, m, MsgVoteNo, []byte{ReasonBlocked})
 		return nil
@@ -361,14 +333,8 @@ func (p *Participant) handleCommitLocal(ctx context.Context, m transport.Msg) er
 		p.reply(ctx, m, MsgVoteNo, []byte{ReasonBlocked})
 		return nil
 	}
-	if err := p.stage(m.Txn, ops); err != nil {
-		return err
-	}
-	if err := p.log.Append(wal.RecCommit, m.Txn, nil); err != nil {
-		return err
-	}
 	p.decisions[m.Txn] = true
-	if err := p.apply(ops); err != nil {
+	if err := p.part.CommitLocal(m.Txn, ops); err != nil {
 		return err
 	}
 	p.reply(ctx, m, MsgAckLocal, nil)
@@ -380,7 +346,7 @@ func (p *Participant) handleDecideCommit(ctx context.Context, m transport.Msg) (
 	case p.crashArm.CompareAndSwap(crashBeforeCommit, crashNone):
 		// Die mid-append of the decision: the COMMIT record is torn, so
 		// recovery finds no decision — presumed abort.
-		if err := p.log.AppendTorn(wal.RecCommit, m.Txn, nil, 5); err != nil {
+		if err := p.part.CommitTorn(m.Txn); err != nil {
 			return false, err
 		}
 		p.crash()
@@ -388,23 +354,18 @@ func (p *Participant) handleDecideCommit(ctx context.Context, m transport.Msg) (
 	case p.crashArm.CompareAndSwap(crashAfterDecision, crashNone):
 		// Die right after the decision is durable: nobody hears it, but
 		// the transaction IS committed — resolution replays it.
-		if err := p.log.Append(wal.RecCommit, m.Txn, nil); err != nil {
+		if err := p.part.Commit(m.Txn); err != nil {
 			return false, err
 		}
 		p.crash()
 		return true, nil
 	}
 	if decided, _ := p.decided(m.Txn); !decided {
-		if err := p.log.Append(wal.RecCommit, m.Txn, nil); err != nil {
-			return false, err
-		}
 		p.decisions[m.Txn] = true
 		cDecisions.Inc()
-		if e := p.inDoubt[m.Txn]; e != nil {
-			if err := p.apply(e.ops); err != nil {
-				return false, err
-			}
-			p.dropInDoubt(m.Txn)
+		delete(p.term, m.Txn)
+		if err := p.part.Commit(m.Txn); err != nil {
+			return false, err
 		}
 	}
 	p.reply(ctx, m, MsgAck, nil)
@@ -413,12 +374,13 @@ func (p *Participant) handleDecideCommit(ctx context.Context, m transport.Msg) (
 
 func (p *Participant) handleDecideAbort(ctx context.Context, m transport.Msg) error {
 	if decided, _ := p.decided(m.Txn); !decided {
-		if err := p.log.Append(wal.RecAbort, m.Txn, nil); err != nil {
-			return err
-		}
 		p.decisions[m.Txn] = false
 		cDecisions.Inc()
-		p.dropInDoubt(m.Txn) // staged writes discarded: no observable effects
+		delete(p.term, m.Txn)
+		// Staged writes discarded: no observable effects.
+		if err := p.part.Abort(m.Txn); err != nil {
+			return err
+		}
 	}
 	p.reply(ctx, m, MsgAck, nil)
 	return nil
@@ -426,31 +388,20 @@ func (p *Participant) handleDecideAbort(ctx context.Context, m transport.Msg) er
 
 // resolveInDoubt finishes an in-doubt transaction from a status answer
 // (or the presumed-abort rule when the answer is "unknown").
-func (p *Participant) resolveInDoubt(txn uint64, commit, presumed bool) error {
-	e := p.inDoubt[txn]
-	if e == nil {
+func (p *Participant) resolveInDoubt(txn uint64, commitTxn, presumed bool) error {
+	if !p.part.Holds(txn) {
 		return nil // stale answer; already resolved
 	}
-	if commit {
-		if err := p.log.Append(wal.RecCommit, txn, nil); err != nil {
-			return err
-		}
-		p.decisions[txn] = true
-		if err := p.apply(e.ops); err != nil {
-			return err
-		}
-	} else {
-		if err := p.log.Append(wal.RecAbort, txn, nil); err != nil {
-			return err
-		}
-		p.decisions[txn] = false
-		if presumed {
-			p.presumedAborts++
-			cPresumedAborts.Inc()
-		}
+	p.decisions[txn] = commitTxn
+	delete(p.term, txn)
+	if commitTxn {
+		return p.part.Commit(txn)
 	}
-	p.dropInDoubt(txn)
-	return nil
+	if presumed {
+		p.presumedAborts++
+		cPresumedAborts.Inc()
+	}
+	return p.part.Abort(txn)
 }
 
 // terminate runs the termination protocol for overdue in-doubt
@@ -458,86 +409,25 @@ func (p *Participant) resolveInDoubt(txn uint64, commit, presumed bool) error {
 // paced by the capped-exponential QueryRetry policy.
 func (p *Participant) terminate(ctx context.Context) {
 	now := time.Now()
-	for _, txn := range p.inDoubtOrder {
-		e := p.inDoubt[txn]
+	for _, h := range p.part.Held() {
+		e := p.term[h.Txn]
 		if e == nil || now.Before(e.nextQuery) || e.attempts >= p.cfg.QueryRetry.MaxAttempts {
 			continue
 		}
 		e.attempts++
 		_ = p.ep.Send(ctx, transport.Msg{
-			Type: MsgStatusQuery, From: p.id, To: e.coord, Txn: txn, Attempt: e.attempts,
+			Type: MsgStatusQuery, From: p.id, To: h.Coord, Txn: h.Txn, Attempt: e.attempts,
 		})
 		wait := p.cfg.QueryRetry.BackoffAt(e.attempts)
 		e.nextQuery = now.Add(time.Duration(wait * float64(time.Second)))
 	}
 }
 
-func (p *Participant) dropInDoubt(txn uint64) {
-	delete(p.inDoubt, txn)
-	for i, id := range p.inDoubtOrder {
-		if id == txn {
-			p.inDoubtOrder = append(p.inDoubtOrder[:i], p.inDoubtOrder[i+1:]...)
-			break
-		}
-	}
-}
-
 func (p *Participant) scanPairs() []inDoubtPair {
-	pairs := make([]inDoubtPair, 0, len(p.inDoubt))
-	for _, txn := range p.inDoubtOrder {
-		if e := p.inDoubt[txn]; e != nil {
-			pairs = append(pairs, inDoubtPair{Txn: txn, Coord: e.coord})
-		}
+	held := p.part.Held()
+	pairs := make([]inDoubtPair, 0, len(held))
+	for _, h := range held {
+		pairs = append(pairs, inDoubtPair{Txn: h.Txn, Coord: h.Coord})
 	}
 	return pairs
-}
-
-// stage appends BEGIN and the WRITE records of one transaction.
-func (p *Participant) stage(txn uint64, ops []db.Op) error {
-	if err := p.log.Append(wal.RecBegin, txn, nil); err != nil {
-		return err
-	}
-	for _, op := range ops {
-		if err := p.log.Append(wal.RecWrite, txn, op.Encode(nil)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// apply commits ops on the store atomically and advances the checkpoint
-// cadence.
-func (p *Participant) apply(ops []db.Op) error {
-	tx := p.store.Begin()
-	for _, op := range ops {
-		if err := tx.StageOp(op); err != nil {
-			tx.Abort()
-			return err
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		return err
-	}
-	p.commitsSince++
-	return p.maybeCheckpoint()
-}
-
-// maybeCheckpoint snapshots the store when the cadence is due; never
-// while in doubt (a snapshot must not bury a pending PREPARE).
-func (p *Participant) maybeCheckpoint() error {
-	if p.commitsSince < p.cfg.CheckpointEvery || len(p.inDoubt) > 0 {
-		return nil
-	}
-	if err := wal.WriteCheckpoint(p.log, p.store); err != nil {
-		return err
-	}
-	p.commitsSince = 0
-	p.checkpoints++
-	return nil
-}
-
-// coordPayload encodes the PREPARE payload naming the coordinator
-// partition (the id recovery and the standby read back).
-func coordPayload(coord int) []byte {
-	return binary.AppendUvarint(nil, uint64(coord))
 }

@@ -34,12 +34,12 @@ type Standby struct {
 
 // NewStandby builds a standby over its own endpoint. parts are the
 // partition ids to scan, walDir the directory their logs live in.
-func NewStandby(id int, ep transport.Transport, walDir string, parts []int, lease time.Duration, cfg driverConfig) *Standby {
+func NewStandby(ep transport.Transport, walDir string, parts []int, lease time.Duration, cfg driverConfig) *Standby {
 	if lease <= 0 {
 		lease = 150 * time.Millisecond
 	}
 	return &Standby{
-		d:      newDriver(id, ep, cfg),
+		d:      newDriver(ep, cfg),
 		walDir: walDir,
 		parts:  append([]int(nil), parts...),
 		lease:  lease,
@@ -56,7 +56,7 @@ func (s *Standby) SetLeader(id int) { s.leader = id }
 func (s *Standby) Done() <-chan TakeoverReport { return s.report }
 
 // Endpoint returns the standby's transport, for promotion to driver.
-func (s *Standby) Endpoint() transport.Transport { return s.d.ep }
+func (s *Standby) Endpoint() transport.Transport { return s.d.EP }
 
 // Run watches heartbeats until the lease lapses, then takes over and
 // returns. A context cancellation before expiry returns without a
@@ -72,7 +72,7 @@ func (s *Standby) Run(ctx context.Context) {
 	deadline := time.Now().Add(s.lease)
 	for {
 		rctx, cancel := context.WithDeadline(ctx, deadline)
-		m, err := s.d.ep.Recv(rctx)
+		m, err := s.d.EP.Recv(rctx)
 		cancel()
 		if err == nil {
 			if m.Type == MsgHeartbeat && (s.leader < 0 || m.From == s.leader) {
@@ -144,10 +144,10 @@ func (s *Standby) scan(ctx context.Context) map[uint64]holderSet {
 
 func (s *Standby) scanOne(ctx context.Context, pt int) ([]inDoubtPair, bool) {
 	for attempt := 1; attempt <= s.d.cfg.wire.MaxAttempts; attempt++ {
-		s.d.send(ctx, pt, MsgScan, 0, nil)
-		deadline := time.Now().Add(s.d.waitFor(s.d.cfg.ackWait, attempt))
+		s.d.Send(ctx, pt, MsgScan, 0, nil)
+		deadline := s.d.Deadline(s.d.cfg.ackWait, attempt)
 		for {
-			m, got := s.d.recvBy(ctx, deadline)
+			m, got := s.d.RecvBy(ctx, deadline)
 			if !got {
 				break
 			}
@@ -173,10 +173,10 @@ func (s *Standby) scanOne(ctx context.Context, pt int) ([]inDoubtPair, bool) {
 // decision tail parses as no decision.
 func (s *Standby) decisionFor(ctx context.Context, txn uint64, coord int) bool {
 	for attempt := 1; attempt <= 3; attempt++ {
-		s.d.send(ctx, coord, MsgStatusQuery, txn, nil)
-		deadline := time.Now().Add(s.d.waitFor(s.d.cfg.ackWait, attempt))
+		s.d.Send(ctx, coord, MsgStatusQuery, txn, nil)
+		deadline := s.d.Deadline(s.d.cfg.ackWait, attempt)
 		for {
-			m, got := s.d.recvBy(ctx, deadline)
+			m, got := s.d.RecvBy(ctx, deadline)
 			if !got {
 				break
 			}

@@ -268,7 +268,7 @@ func TestTCPTimeoutAbort(t *testing.T) {
 		}
 	}()
 
-	drv := newDriver(1, dEp, driverConfig{
+	drv := newDriver(dEp, driverConfig{
 		wire: faults.RetryPolicy{MaxAttempts: 2, BaseBackoffSec: 0.03, MaxBackoffSec: 0.06},
 	})
 	alive := func(int) bool { return false }
@@ -430,7 +430,7 @@ func TestStandbyChattyParticipantCannotSuppressFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	const lease = 120 * time.Millisecond
-	sb := NewStandby(10, sbEp, t.TempDir(), nil, lease, driverConfig{})
+	sb := NewStandby(sbEp, t.TempDir(), nil, lease, driverConfig{})
 	sb.SetLeader(9)
 
 	ctx, cancel := context.WithCancel(context.Background())
