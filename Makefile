@@ -23,12 +23,13 @@ verify:
 # bench runs the micro-benchmarks (experiment-scale benches run via
 # `go test -bench=BenchmarkFigure7 -benchtime=1x` etc), then the
 # parallel-search sweep: the full pipeline on TPC-C/SEATS and phases 2/3
-# in isolation, each at 1/2/8 workers.
+# in isolation, each at 1/2/8 workers, and the phase-3 placement-index
+# composition over a filled value-column cache.
 bench:
 	$(GO) test -bench='PathEval|Evaluate|GraphPartition|ValueHash|HDRObserve|TraceEvent' -benchmem -run=^$$ .
 	$(GO) test -bench='BenchmarkPartition' -benchtime=1x -run=^$$ .
 	$(GO) test -bench='Phase2|Phase3' -benchtime=1x -run=^$$ ./internal/core/
-	$(GO) test -bench='EvaluateParallel|NavCacheWarm' -benchmem -run=^$$ ./internal/eval/
+	$(GO) test -bench='IndexColumns' -benchmem -run=^$$ ./internal/eval/
 
 # bench-export writes BENCH_obs.json, the machine-readable perf
 # trajectory (ns/op, allocs/op, B/op per micro-benchmark),
@@ -39,7 +40,7 @@ bench:
 # cross-worker-count solution byte-identity check), BENCH_serve.json,
 # the overload-protection record (goodput and executed-tail p99/p999 at
 # 1x and 2x offered load, admission on vs off), and BENCH_mem.json, the
-# memory record (evaluator allocs/op on the indexed vs legacy path, and
+# memory record (the evaluator's allocs/op over a prebuilt index, and
 # the 10M-tuple-access streaming run's peak RSS against the in-memory
 # bound; BENCH_MEM_ACCESSES scales the big trace down for quick runs).
 bench-export:

@@ -57,7 +57,6 @@ func TestBenchExport(t *testing.T) {
 	}{
 		{"PathEval", BenchmarkPathEval},
 		{"Evaluate", BenchmarkEvaluate},
-		{"EvaluateLegacy", BenchmarkEvaluateLegacy},
 		{"GraphPartition", BenchmarkGraphPartition},
 		{"ValueHash", BenchmarkValueHash},
 		{"HDRObserve", BenchmarkHDRObserve},

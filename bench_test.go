@@ -255,7 +255,7 @@ func mustTPCERun(b *testing.B) *tpceRun {
 // --- Micro-benchmarks of the hot substrates ------------------------------
 
 // BenchmarkPathEval measures memoized join-path evaluation, the inner
-// loop of every cost evaluation.
+// loop of the assigner's per-access PlaceKey.
 func BenchmarkPathEval(b *testing.B) {
 	d := fixture.CustInfoDB()
 	ev := db.NewPathEval(d, fixture.TradePath())
@@ -278,8 +278,9 @@ func benchSolution() *partition.Solution {
 
 // BenchmarkEvaluate measures full-solution evaluation on the zero-alloc
 // path: a prebuilt PlaceIndex over the columnar trace, scoring with array
-// loads only. This is the steady state the phase-3 combination search and
-// the streaming evaluator run in.
+// loads only. This is the steady state of the one evaluator: eval.Evaluate,
+// the streaming evaluator and the phase-3 combination search all score
+// through it.
 func BenchmarkEvaluate(b *testing.B) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 500, 1)
@@ -293,23 +294,6 @@ func BenchmarkEvaluate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if r := idx.Evaluate(); r.Total != tr.Len() {
 			b.Fatalf("scored %d of %d", r.Total, tr.Len())
-		}
-	}
-}
-
-// BenchmarkEvaluateLegacy measures the row-at-a-time path the package
-// started with — assigner construction plus per-access map/navigation
-// work each iteration — kept as the baseline the columnar numbers are
-// read against.
-func BenchmarkEvaluateLegacy(b *testing.B) {
-	d := fixture.CustInfoDB()
-	tr := fixture.MixedTrace(d, 500, 1)
-	sol := benchSolution()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eval.Evaluate(d, sol, tr); err != nil {
-			b.Fatal(err)
 		}
 	}
 }

@@ -21,6 +21,10 @@
 //	-metrics out.json   dump the obs metrics registry as JSON on exit
 //	-trace-report       print the phase span tree (load/trace/partition/...)
 //	-debug-addr :8080   serve /debug/pprof, /debug/vars, /metrics while running
+//	-cpuprofile cpu.out write a CPU profile of the whole run; with -memprofile
+//	-memprofile mem.out (an allocation profile written on exit) a regressed
+//	                    partition or evaluation stage reproduces under
+//	                    `go tool pprof` from one command
 //	-flight-dump f.json dump the transaction flight recorder as sorted JSON on
 //	                    exit (always written, even when the run fails — it is
 //	                    the post-mortem artifact). Dumps are byte-identical
@@ -101,7 +105,9 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sort"
 	"strings"
 
@@ -195,6 +201,8 @@ func main() {
 		metricsOut  = flag.String("metrics", "", "write the obs metrics registry as JSON to this file")
 		traceReport = flag.Bool("trace-report", false, "print the phase span tree")
 		debugAddr   = flag.String("debug-addr", "", "serve /debug/pprof, /debug/vars and /metrics on this address")
+		cpuProfile  = flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file (go tool pprof)")
+		memProfile  = flag.String("memprofile", "", "write an allocation profile to this file when the run ends (go tool pprof)")
 
 		chaos         = flag.Bool("chaos", false, "replay the test trace under fault injection")
 		chaosSeed     = flag.Int64("chaos-seed", 1, "fault-injection seed")
@@ -231,11 +239,46 @@ func main() {
 	so := serveOpts{enabled: *serveRun, load: *serveLoad, duration: *serveDuration,
 		arrival: *serveArrival, admission: *serveAdmission, seed: *serveSeed,
 		scenario: *chaosScenario, walDir: *walDir}
-	if err := realMain(*benchmark, *algo, *k, *scale, *txns, *trainFrac, *seed, *parallelism,
-		*verbose, *out, *metricsOut, *traceReport, *debugAddr, co, do, fo, so, *traceIn, *dbIn); err != nil {
+	if err := withProfiles(*cpuProfile, *memProfile, func() error {
+		return realMain(*benchmark, *algo, *k, *scale, *txns, *trainFrac, *seed, *parallelism,
+			*verbose, *out, *metricsOut, *traceReport, *debugAddr, co, do, fo, so, *traceIn, *dbIn)
+	}); err != nil {
 		fmt.Fprintln(os.Stderr, "jecb:", err)
 		os.Exit(1)
 	}
+}
+
+// withProfiles runs f under the -cpuprofile and -memprofile flags: the
+// CPU profile spans f, and the allocation profile (every allocation
+// since the process started, plus live heap after a GC) is written when
+// f returns, even if it failed.
+func withProfiles(cpuPath, memPath string, f func() error) (err error) {
+	if cpuPath != "" {
+		pf, err := os.Create(cpuPath)
+		if err != nil {
+			return err
+		}
+		defer pf.Close()
+		if err := pprof.StartCPUProfile(pf); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
+	err = f()
+	if memPath != "" {
+		runtime.GC()
+		mf, merr := os.Create(memPath)
+		if merr == nil {
+			merr = pprof.Lookup("allocs").WriteTo(mf, 0)
+			if cerr := mf.Close(); merr == nil {
+				merr = cerr
+			}
+		}
+		if err == nil && merr != nil {
+			err = fmt.Errorf("memprofile: %w", merr)
+		}
+	}
+	return err
 }
 
 // realMain is the single exit path: it wires observability around run,

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -288,5 +289,26 @@ func TestRealMainError(t *testing.T) {
 	if err := realMain("nope", "jecb", 2, 0, 100, 0.5, 1, 0,
 		false, "", "", false, "", chaosOpts{}, driftOpts{}, flightOpts{}, serveOpts{}, "", ""); err == nil {
 		t.Error("unknown benchmark must propagate from realMain")
+	}
+}
+
+// TestWithProfiles: -cpuprofile and -memprofile each leave a non-empty
+// pprof file, and the wrapped run's error passes through.
+func TestWithProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	runErr := errors.New("run failed")
+	if err := withProfiles(cpu, mem, func() error { return runErr }); err != runErr {
+		t.Fatalf("withProfiles = %v, want the run's error", err)
+	}
+	for _, p := range []string{cpu, mem} {
+		if st, err := os.Stat(p); err != nil {
+			t.Error(err)
+		} else if st.Size() == 0 {
+			t.Errorf("%s is empty", p)
+		}
+	}
+	if err := withProfiles(filepath.Join(dir, "missing", "cpu.out"), "", func() error { return nil }); err == nil {
+		t.Error("an unwritable -cpuprofile path must fail the run")
 	}
 }

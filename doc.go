@@ -56,15 +56,21 @@
 //	eval.Assigner.TxnPartitions → map[int]bool  … → partition.Set (inline bitset; Min() = coordinator)
 //	eval.Evaluate(d, sol, tr) per-txn maps      a.Index(c).Evaluate() — precomputed join-path index
 //	whole trace in memory                       trace.OpenColumnar(path) → a.EvaluateStream(s)
+//	a.EvaluateParallel(tr, workers)  (removed)  a.Evaluate(tr) or a.Index(c).Evaluate() — one evaluator
+//	eval.NewAssignerCached(d, sol, nav)         eval.NewAssigner(d, sol) + a.IndexColumns(cs) over
+//	  (removed)                                   a shared cs := eval.NewColumns(d, c)
+//	eval.NavCache / NewNavCache  (removed)      eval.Columns — per-(table, join path) value columns
 //
 // New surface: trace.Workload (Len/All/Class/Classes/Mix, implemented by
 // Trace, Columnar, Stream), trace.Columnarize / Materialize,
 // trace.WriteColumnar / NewColumnarWriter / OpenColumnar / SniffColumnar
 // (chunked CRC-framed on-disk format; ErrTornTail vs ErrCorrupt),
-// eval.PlaceIndex via Assigner.Index, and eval.EvaluateColumnar /
-// EvaluateStream. Columnar cursors yield a reused scratch *Txn — Clone to
-// retain. Streamed, columnar, and row evaluation produce byte-identical
-// results — see DESIGN.md, "Columnar traces & the zero-alloc evaluator".
+// eval.PlaceIndex via Assigner.Index / IndexColumns over an eval.Columns
+// value-column cache, eval.EvaluateColumnar / EvaluateStream, and the
+// compiled join-path kernel db.CompilePath. Columnar cursors yield a
+// reused scratch *Txn — Clone to retain. PlaceIndex is the one
+// evaluator: eval.Evaluate and JECB's search score through it — see
+// DESIGN.md, "Columnar traces & the zero-alloc evaluator".
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
 // EXPERIMENTS.md for the paper-vs-measured record. bench_test.go in this

@@ -56,21 +56,6 @@ func TestForEachIndexedCancellation(t *testing.T) {
 	})
 }
 
-func TestForEachShardCancellation(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		ran := 0
-		_, err := forEachShard(ctx, workers, 100, func(shard, lo, hi int) { ran++ })
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want Canceled", workers, err)
-		}
-		if ran != 0 {
-			t.Fatalf("workers=%d: ran %d shards on a cancelled context", workers, ran)
-		}
-	}
-}
-
 // TestPartitionCancelled drives cancellation through the public API: a
 // cancelled context surfaces context.Canceled from the full pipeline,
 // identically for any worker count (the satellite determinism contract —

@@ -22,6 +22,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"sync"
 
 	"repro/internal/db"
 	"repro/internal/obs"
@@ -70,11 +71,10 @@ type Options struct {
 	Seed int64
 
 	// Parallelism is the worker count of the parallel search: phase 2
-	// solves transaction classes on a pool of this many workers (and
-	// shards per-class trace scans across it), and phase 3 evaluates
-	// candidate combinations concurrently. 0 or negative means
-	// runtime.GOMAXPROCS(0). Results are bit-identical for any value —
-	// see DESIGN.md, "Determinism contract".
+	// solves transaction classes on a pool of this many workers, and
+	// phase 3 evaluates candidate combinations concurrently. 0 or
+	// negative means runtime.GOMAXPROCS(0). Results are bit-identical
+	// for any value — see DESIGN.md, "Determinism contract".
 	Parallelism int
 
 	// Warm seeds Phase 3 with a previously deployed solution: the warm
@@ -132,6 +132,11 @@ type Input struct {
 type Partitioner struct {
 	in   Input
 	opts Options
+
+	// The test trace's per-class streams, columnarized on first use (the
+	// min-cut fallback's meaningfulness check).
+	testOnce    sync.Once
+	testStreams map[string]stream
 }
 
 // New validates the input and returns a runnable partitioner.

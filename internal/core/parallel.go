@@ -85,44 +85,3 @@ func forEachIndexed(ctx context.Context, workers, n int, queue *obs.Gauge, fn fu
 	wg.Wait()
 	return ctx.Err()
 }
-
-// forEachShard splits [0, n) into at most `workers` contiguous half-open
-// ranges and runs fn(shard, lo, hi) for each concurrently. Shard
-// boundaries depend only on (workers, n) — never on scheduling — so
-// callers that fold per-shard accumulators in shard order get identical
-// results for any actual interleaving; callers whose accumulation is
-// commutative (integer sums, disjoint index writes) get identical results
-// for any worker count. With workers <= 1 it is a direct call.
-//
-// Cancelling ctx skips shards not yet started (each worker checks before
-// calling fn) and returns the context's error; a shard already inside fn
-// runs to completion.
-func forEachShard(ctx context.Context, workers, n int, fn func(shard, lo, hi int)) (int, error) {
-	if n <= 0 {
-		return 0, ctx.Err()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		fn(0, 0, n)
-		return 1, ctx.Err()
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				return
-			}
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	return workers, ctx.Err()
-}

@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/db"
+	"repro/internal/eval"
+	"repro/internal/joingraph"
 	"repro/internal/sqlparse"
 	"repro/internal/trace"
 )
@@ -17,8 +20,11 @@ type preprocessed struct {
 	// PartitionedTables are the accessed tables that must be partitioned,
 	// sorted.
 	PartitionedTables []string
+	// Train is the value-column cache of the columnarized training trace,
+	// shared by phases 2 and 3.
+	Train *eval.Columns
 	// Streams maps class name to its homogeneous training sub-trace.
-	Streams map[string]*trace.Trace
+	Streams map[string]stream
 	// Mix is each class's share of the training workload.
 	Mix map[string]float64
 	// Analyses maps class name to its SQL analysis.
@@ -31,10 +37,10 @@ func (p *Partitioner) phase1() (*preprocessed, error) {
 	sc := p.in.DB.Schema()
 	pre := &preprocessed{
 		Replicated: map[string]bool{},
-		Streams:    p.in.Train.Split(),
 		Mix:        p.in.Train.Mix(),
 		Analyses:   map[string]*sqlparse.Analysis{},
 	}
+	pre.Train, pre.Streams = classStreams(p.in.DB, p.in.Train)
 
 	stats := p.in.Train.Stats()
 	total := p.in.Train.Len()
@@ -74,4 +80,45 @@ func (p *Partitioner) phase1() (*preprocessed, error) {
 		}
 	}
 	return pre, nil
+}
+
+// stream is one class's transactions within a columnarized trace: the
+// whole trace's value-column cache and the class's transaction indices,
+// in trace order.
+type stream struct {
+	cols *eval.Columns
+	txns []int
+}
+
+// classStreams columnarizes a trace once and splits it into per-class
+// streams over one shared column cache.
+func classStreams(d *db.DB, tr *trace.Trace) (*eval.Columns, map[string]stream) {
+	c := trace.Columnarize(tr)
+	cs := eval.NewColumns(d, c)
+	byID := make([][]int, c.NumClasses())
+	for i := 0; i < c.NumTxns(); i++ {
+		byID[c.ClassID(i)] = append(byID[c.ClassID(i)], i)
+	}
+	out := make(map[string]stream, len(byID))
+	for id, txns := range byID {
+		out[c.ClassName(uint32(id))] = stream{cols: cs, txns: txns}
+	}
+	return cs, out
+}
+
+// columns resolves a join tree's value columns, indexed by the trace's
+// table ids. Entries are nil for tables the tree does not cover, the
+// tables filter (when non-nil) excludes, or the trace never touches.
+func (s stream) columns(tree *joingraph.Tree, tables map[string]bool) []*eval.Column {
+	c := s.cols.Trace()
+	out := make([]*eval.Column, c.NumTables())
+	for tbl, path := range tree.Paths {
+		if tables != nil && !tables[tbl] {
+			continue
+		}
+		if tid, ok := c.TableID(tbl); ok {
+			out[tid] = s.cols.Column(tbl, path)
+		}
+	}
+	return out
 }

@@ -3,16 +3,15 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
-	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/graphpart"
 	"repro/internal/joingraph"
 	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/schema"
-	"repro/internal/trace"
 	"repro/internal/value"
 )
 
@@ -68,7 +67,6 @@ type ClassResult struct {
 // child order) and closed by whichever worker finishes the class, so a
 // span's duration includes any time the class waited in the queue.
 func (p *Partitioner) phase2(ctx context.Context, pre *preprocessed) (map[string]*ClassResult, error) {
-	testStreams := p.in.Test.Split()
 	// Deterministic class order: dispatch order, result-slot indexing and
 	// span-children order all follow it.
 	classNames := make([]string, 0, len(pre.Streams))
@@ -87,7 +85,7 @@ func (p *Partitioner) phase2(ctx context.Context, pre *preprocessed) (map[string
 	errs := make([]error, len(classNames))
 	poolErr := forEachIndexed(ctx, workers, len(classNames), gPhase2Queue, func(i int) {
 		class := classNames[i]
-		results[i], errs[i] = p.solveClass(ctx, pre, class, pre.Streams[class], testStreams[class])
+		results[i], errs[i] = p.solveClass(ctx, pre, class, pre.Streams[class])
 		spans[i].End()
 	})
 	if poolErr != nil {
@@ -122,7 +120,7 @@ func (p *Partitioner) phase2(ctx context.Context, pre *preprocessed) (map[string
 	return out, nil
 }
 
-func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class string, stream, testStream *trace.Trace) (*ClassResult, error) {
+func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class string, stream stream) (*ClassResult, error) {
 	res := &ClassResult{Class: class, Mix: pre.Mix[class]}
 	a := pre.Analyses[class]
 	g := joingraph.Build(a, p.in.DB.Schema(), pre.Replicated)
@@ -200,7 +198,7 @@ func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class s
 	// range mappings on unseen data.
 	if !p.opts.DisableMinCutFallback {
 		cMinCutFall.Inc()
-		best, err := p.minCutSolution(ctx, class, trees, stream, testStream)
+		best, err := p.minCutSolution(ctx, class, trees, stream, p.testStream(pre, class))
 		if err != nil {
 			return nil, err
 		}
@@ -220,62 +218,46 @@ func (p *Partitioner) solveClass(ctx context.Context, pre *preprocessed, class s
 // check is restricted to that subset (for partial solutions);
 // transactions touching none of the covered tables do not constrain the
 // result. Transactions with unmappable tuples count as multi-valued.
-// The scan shards the stream into contiguous ranges counted concurrently
-// (db.PathEval memo caches are per shard: they are not safe to share);
-// the per-shard counts fold by integer addition, so the fraction is
-// identical for any worker count.
-func (p *Partitioner) singleValueFraction(ctx context.Context, tree *joingraph.Tree, stream *trace.Trace, tables map[string]bool) (float64, error) {
-	if stream.Len() == 0 {
+// Each access reads its root value from the trace's cached value
+// columns, so the scan is array loads and value compares.
+func (p *Partitioner) singleValueFraction(ctx context.Context, tree *joingraph.Tree, s stream, tables map[string]bool) (float64, error) {
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	if len(s.txns) == 0 {
 		return 1, nil
 	}
-	workers := p.opts.parallelism()
-	counts := make([]int, workers)
-	_, shardErr := forEachShard(ctx, workers, stream.Len(), func(shard, lo, hi int) {
-		evals := map[string]*db.PathEval{}
-		for tbl, path := range tree.Paths {
-			if tables == nil || tables[tbl] {
-				evals[tbl] = db.NewPathEval(p.in.DB, path)
-			}
-		}
-		single := 0
-		for i := lo; i < hi; i++ {
-			var first value.Value
-			seen, multi := false, false
-			for _, acc := range stream.At(i).Accesses {
-				ev, ok := evals[acc.Table]
-				if !ok {
-					continue
-				}
-				v, ok := ev.Eval(acc.Key)
-				if !ok {
-					multi = true
-					break
-				}
-				if !seen {
-					first, seen = v, true
-				} else if v != first {
-					multi = true
-					break
-				}
-			}
-			if !multi {
-				single++
-			}
-		}
-		counts[shard] = single
-	})
-	if shardErr != nil {
-		return 0, shardErr
-	}
+	cols := s.columns(tree, tables)
+	c := s.cols.Trace()
 	single := 0
-	for _, c := range counts {
-		single += c
+	for _, i := range s.txns {
+		var first value.Value
+		seen, multi := false, false
+		lo, hi := c.AccessRange(i)
+		for j := lo; j < hi && !multi; j++ {
+			col := cols[c.AccessTable(j)]
+			if col == nil {
+				continue
+			}
+			v, ok := col.Value(c.AccessKey(j))
+			switch {
+			case !ok:
+				multi = true
+			case !seen:
+				first, seen = v, true
+			case v != first:
+				multi = true
+			}
+		}
+		if !multi {
+			single++
+		}
 	}
-	return float64(single) / float64(stream.Len()), nil
+	return float64(single) / float64(len(s.txns)), nil
 }
 
 // mappingIndependent is the exact Definition 7 predicate.
-func (p *Partitioner) mappingIndependent(ctx context.Context, tree *joingraph.Tree, stream *trace.Trace, tables map[string]bool) (bool, error) {
+func (p *Partitioner) mappingIndependent(ctx context.Context, tree *joingraph.Tree, stream stream, tables map[string]bool) (bool, error) {
 	f, err := p.singleValueFraction(ctx, tree, stream, tables)
 	return f == 1, err
 }
@@ -283,42 +265,29 @@ func (p *Partitioner) mappingIndependent(ctx context.Context, tree *joingraph.Tr
 // rootValueSets maps each transaction of the stream to the set of root
 // values its covered accesses reach (used by the min-cut fallback). Each
 // per-transaction set is sorted by value.Compare (ties broken by encoded
-// form): the sets come out of a Go map, and leaving them in iteration
-// order used to leak map randomization into the min-cut graph's vertex
-// indexing — the same run could cut a different (equal-weight) edge set
-// and pick a different mapping. Sorting at this boundary is what makes
-// the whole fallback byte-stable across runs and worker counts.
-//
-// Transactions shard across workers into contiguous ranges; each shard
-// writes only its own out[i] slots with a private PathEval memo.
-func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, stream *trace.Trace) ([][]value.Value, error) {
-	out := make([][]value.Value, stream.Len())
-	_, shardErr := forEachShard(ctx, p.opts.parallelism(), stream.Len(), func(_, lo, hi int) {
-		evals := map[string]*db.PathEval{}
-		for tbl, path := range tree.Paths {
-			evals[tbl] = db.NewPathEval(p.in.DB, path)
-		}
-		for i := lo; i < hi; i++ {
-			set := map[value.Value]bool{}
-			for _, acc := range stream.At(i).Accesses {
-				ev, ok := evals[acc.Table]
-				if !ok {
-					continue
-				}
-				if v, ok := ev.Eval(acc.Key); ok {
-					set[v] = true
-				}
+// form): collection order must not leak into the min-cut graph's vertex
+// indexing, or the same run could cut a different (equal-weight) edge
+// set and pick a different mapping. Sorting at this boundary is what
+// makes the whole fallback byte-stable across runs and worker counts.
+func (p *Partitioner) rootValueSets(ctx context.Context, tree *joingraph.Tree, s stream) ([][]value.Value, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	out := make([][]value.Value, len(s.txns))
+	cols := s.columns(tree, nil)
+	c := s.cols.Trace()
+	for k, i := range s.txns {
+		lo, hi := c.AccessRange(i)
+		for j := lo; j < hi; j++ {
+			col := cols[c.AccessTable(j)]
+			if col == nil {
+				continue
 			}
-			vals := make([]value.Value, 0, len(set))
-			for v := range set {
-				vals = append(vals, v)
+			if v, ok := col.Value(c.AccessKey(j)); ok && !slices.Contains(out[k], v) {
+				out[k] = append(out[k], v)
 			}
-			sortValues(vals)
-			out[i] = vals
 		}
-	})
-	if shardErr != nil {
-		return nil, shardErr
+		sortValues(out[k])
 	}
 	return out, nil
 }
@@ -340,10 +309,7 @@ func sortValues(vals []value.Value) {
 // accept the lookup mapping only if it is "meaningful" — cheaper on the
 // test stream than both hash and range mappings. It returns the best
 // meaningful solution across trees, or nil.
-func (p *Partitioner) minCutSolution(ctx context.Context, class string, trees []*joingraph.Tree, stream, testStream *trace.Trace) (*ClassSolution, error) {
-	if testStream == nil {
-		testStream = stream
-	}
+func (p *Partitioner) minCutSolution(ctx context.Context, class string, trees []*joingraph.Tree, stream, testStream stream) (*ClassSolution, error) {
 	var best *ClassSolution
 	for _, tree := range trees {
 		sets, err := p.rootValueSets(ctx, tree, stream)
@@ -418,8 +384,9 @@ func (p *Partitioner) minCutSolution(ctx context.Context, class string, trees []
 
 // classCost evaluates a (tree, mapper) pair on a class stream: replicated
 // tables aside, every covered table partitions by its path under the
-// mapper.
-func (p *Partitioner) classCost(tree *joingraph.Tree, m partition.Mapper, stream *trace.Trace) (float64, error) {
+// mapper. The placement index is composed from the stream's cached value
+// columns.
+func (p *Partitioner) classCost(tree *joingraph.Tree, m partition.Mapper, s stream) (float64, error) {
 	sol := partition.NewSolution("class-local", p.opts.K)
 	for tbl, path := range tree.Paths {
 		sol.Set(partition.NewByPath(tbl, path, m))
@@ -427,10 +394,12 @@ func (p *Partitioner) classCost(tree *joingraph.Tree, m partition.Mapper, stream
 	// Tables the stream touches but the tree does not cover are treated
 	// as replicated reads (they are replicated by Phase 1 in the callers'
 	// contexts).
-	for _, txn := range stream.All() {
-		for _, acc := range txn.Accesses {
-			if sol.Table(acc.Table) == nil {
-				sol.Set(partition.NewReplicated(acc.Table))
+	c := s.cols.Trace()
+	for _, i := range s.txns {
+		lo, hi := c.AccessRange(i)
+		for j := lo; j < hi; j++ {
+			if tbl := c.TableName(c.AccessTable(j)); sol.Table(tbl) == nil {
+				sol.Set(partition.NewReplicated(tbl))
 			}
 		}
 	}
@@ -438,12 +407,36 @@ func (p *Partitioner) classCost(tree *joingraph.Tree, m partition.Mapper, stream
 	if err != nil {
 		return 0, err
 	}
-	return a.EvaluateParallel(stream, p.opts.parallelism()).Cost(), nil
+	if len(s.txns) == 0 {
+		return 0, nil
+	}
+	idx := a.IndexColumns(s.cols)
+	dist := 0
+	for _, i := range s.txns {
+		if idx.Distributed(i) {
+			dist++
+		}
+	}
+	return float64(dist) / float64(len(s.txns)), nil
+}
+
+// testStream returns the class's stream of the test trace (columnarized
+// on first use), or its training stream when there is no separate test
+// trace or the test trace lacks the class.
+func (p *Partitioner) testStream(pre *preprocessed, class string) stream {
+	if p.in.Test == p.in.Train {
+		return pre.Streams[class]
+	}
+	p.testOnce.Do(func() { _, p.testStreams = classStreams(p.in.DB, p.in.Test) })
+	if s, ok := p.testStreams[class]; ok {
+		return s
+	}
+	return pre.Streams[class]
 }
 
 // addPartialsFromSubtrees walks the sub-join trees of a total solution,
 // adding every mapping-independent one as a partial solution (§5.3 end).
-func (p *Partitioner) addPartialsFromSubtrees(ctx context.Context, res *ClassResult, tree *joingraph.Tree, stream *trace.Trace) error {
+func (p *Partitioner) addPartialsFromSubtrees(ctx context.Context, res *ClassResult, tree *joingraph.Tree, stream stream) error {
 	queue := subTrees(tree)
 	for len(queue) > 0 {
 		sub := queue[len(queue)-1]
@@ -469,7 +462,7 @@ func (p *Partitioner) addPartialsFromSubtrees(ctx context.Context, res *ClassRes
 
 // addPartialsFromSplit handles §5.2 case 2: split the rootless graph and
 // keep mapping-independent trees of each subgraph as partial solutions.
-func (p *Partitioner) addPartialsFromSplit(ctx context.Context, res *ClassResult, g *joingraph.Graph, stream *trace.Trace) {
+func (p *Partitioner) addPartialsFromSplit(ctx context.Context, res *ClassResult, g *joingraph.Graph, stream stream) {
 	for _, sub := range g.Split() {
 		if len(sub.Tables) == 0 {
 			continue

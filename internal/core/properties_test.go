@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -91,6 +92,18 @@ func testPartitioner(w *chainWorld) *Partitioner {
 	}
 }
 
+// wholeStream is the stream of every transaction of the world's trace.
+func wholeStream(w *chainWorld) stream {
+	_, streams := classStreams(w.d, w.tr)
+	var out stream
+	for _, s := range streams {
+		out.cols = s.cols
+		out.txns = append(out.txns, s.txns...)
+	}
+	slices.Sort(out.txns)
+	return out
+}
+
 // TestProperty1CoarserPreservesMI checks the paper's Property 1 on random
 // worlds: if a finer tree is mapping independent over a workload, every
 // coarser compatible tree is too.
@@ -110,7 +123,7 @@ func TestProperty1CoarserPreservesMI(t *testing.T) {
 		covered := map[string]bool{"A": true}
 		prevMI := false
 		for _, tree := range trees { // finest to coarsest
-			mi, err := p.mappingIndependent(context.Background(), tree, w.tr, covered)
+			mi, err := p.mappingIndependent(context.Background(), tree, wholeStream(w), covered)
 			if err != nil {
 				return false
 			}
@@ -121,7 +134,7 @@ func TestProperty1CoarserPreservesMI(t *testing.T) {
 		}
 		// The coarsest (C_G) tree is mapping independent by construction:
 		// each transaction touches exactly one group's closure.
-		mi, err := p.mappingIndependent(context.Background(), trees[2], w.tr, covered)
+		mi, err := p.mappingIndependent(context.Background(), trees[2], wholeStream(w), covered)
 		return err == nil && mi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
@@ -144,7 +157,7 @@ func TestProperty1Monotonicity(t *testing.T) {
 				Root:  pa.Dest(),
 				Paths: map[string]schema.JoinPath{"A": pa},
 			}
-			frac, err := p.singleValueFraction(context.Background(), tree, w.tr, covered)
+			frac, err := p.singleValueFraction(context.Background(), tree, wholeStream(w), covered)
 			if err != nil {
 				return false
 			}

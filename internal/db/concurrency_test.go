@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -94,5 +95,44 @@ func TestTableConcurrentReadersAndWriters(t *testing.T) {
 	}
 	if tr.Version(value.MakeKey(value.NewInt(2000))) == 0 {
 		t.Error("committed tx touches not visible")
+	}
+}
+
+// TestPathEvalConcurrent hammers one memoizing PathEval from 16
+// goroutines (the assigner's PlaceKey pattern): every answer, hit or
+// miss, must match a one-shot navigation.
+func TestPathEvalConcurrent(t *testing.T) {
+	d := loadFigure1(t)
+	e := NewPathEval(d, tradePath())
+	want := map[int64]value.Value{}
+	for tid := int64(1); tid <= 9; tid++ {
+		v, ok, err := d.EvalPath(tradePath(), value.MakeKey(value.NewInt(tid)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			want[tid] = v
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 16)
+	for g := 0; g < 16; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				tid := int64(1 + (g+i)%9)
+				v, ok := e.Eval(value.MakeKey(value.NewInt(tid)))
+				if w, wok := want[tid]; ok != wok || v != w {
+					errs <- fmt.Sprintf("T_ID=%d: (%v, %v), want (%v, %v)", tid, v, ok, w, wok)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }

@@ -276,6 +276,18 @@ func (t *Table) GetAny(k value.Key) (value.Tuple, bool) {
 	return row, ok
 }
 
+// getAnyBytes is GetAny for a key held in a byte buffer; the map probes
+// convert without allocating.
+func (t *Table) getAnyBytes(k []byte) (value.Tuple, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if slot, ok := t.pk[value.Key(k)]; ok {
+		return t.rows[slot], true
+	}
+	row, ok := t.graveyard[value.Key(k)]
+	return row, ok
+}
+
 // Scan calls fn for every live row with its primary key. fn returning
 // false stops the scan. fn runs under the table's read lock: it must not
 // mutate the table it is scanning.

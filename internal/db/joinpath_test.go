@@ -148,3 +148,21 @@ func TestPathEvalMemoizes(t *testing.T) {
 		t.Error("memoized missing row must stay !ok")
 	}
 }
+
+// TestCompiledPathZeroAlloc gates the compiled kernel: once the probe
+// buffer has grown, navigating a two-hop chain allocates nothing.
+func TestCompiledPathZeroAlloc(t *testing.T) {
+	d := loadFigure1(t)
+	cp, err := d.CompilePath(hsPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := value.MakeKey(value.NewString("BLS"), value.NewInt(8))
+	var scratch []byte
+	if v, ok := cp.Eval(k, &scratch); !ok || v != value.NewInt(1) {
+		t.Fatalf("Eval = %v, %v; want 1, true", v, ok)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { cp.Eval(k, &scratch) }); allocs != 0 {
+		t.Errorf("Eval = %.0f allocs/op, want 0", allocs)
+	}
+}

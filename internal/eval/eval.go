@@ -9,12 +9,10 @@ package eval
 import (
 	"fmt"
 	"sort"
-	"sync"
 
 	"repro/internal/db"
 	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/schema"
 	"repro/internal/trace"
 )
 
@@ -24,7 +22,6 @@ var (
 	cTxnsScored  = obs.Default.Counter("eval.txns_scored")
 	cTxnsDist    = obs.Default.Counter("eval.txns_distributed")
 	cAssigners   = obs.Default.Counter("eval.assigners_built")
-	gEvalWorkers = obs.Default.Gauge("eval.workers")
 )
 
 // ClassResult aggregates cost for one transaction class.
@@ -87,55 +84,37 @@ func (r *Result) String() string {
 		r.Solution, r.K, 100*r.Cost(), r.Distributed, r.Total)
 }
 
-// tableBinding is the prepared placement machinery of one partitioned
-// table: its join path, the path's cache identity, and its mapper.
+// tableBinding is the prepared placement machinery of one table of the
+// solution: its join path's memoizing evaluator (nil for a replicated
+// table) and its mapper.
 type tableBinding struct {
-	path   schema.JoinPath
-	pathID string // path.String(): the NavCache key prefix
+	ev     *db.PathEval
 	mapper partition.Mapper
 }
 
-// Assigner binds a solution to a database, memoizing FK navigation
-// (join-path evaluation) per (table join path, key) in a sharded,
-// concurrency-safe NavCache. Partition queries drive both the evaluator
-// and the router. An Assigner is safe for concurrent use: PlaceKey,
-// TxnPartitions, Distributed and Evaluate may be called from any number
-// of goroutines, and the parallel JECB search hammers one shared Assigner
-// from its whole worker pool.
+// Assigner binds a solution to a database. Partition queries drive both
+// the evaluator and the router. An Assigner is safe for concurrent use:
+// PlaceKey, TxnPartitions, Distributed and the Evaluate/Index family may
+// be called from any number of goroutines.
 type Assigner struct {
 	d        *db.DB
 	sol      *partition.Solution
 	bindings map[string]tableBinding
-	nav      *NavCache
 }
 
 // NewAssigner validates the solution against the database schema and
-// prepares per-table placement bindings backed by a private NavCache.
+// prepares per-table placement bindings.
 func NewAssigner(d *db.DB, sol *partition.Solution) (*Assigner, error) {
-	return NewAssignerCached(d, sol, nil)
-}
-
-// NewAssignerCached is NewAssigner with a shared FK-navigation cache: all
-// Assigners over the same (unmutated) database may share one NavCache, so
-// scoring many candidate solutions that route tables through the same
-// join paths re-walks each (path, key) navigation only once. A nil cache
-// allocates a private one.
-func NewAssignerCached(d *db.DB, sol *partition.Solution, nav *NavCache) (*Assigner, error) {
 	if err := sol.Validate(d.Schema()); err != nil {
 		return nil, err
 	}
-	if nav == nil {
-		nav = NewNavCache()
-	}
-	a := &Assigner{d: d, sol: sol, bindings: make(map[string]tableBinding), nav: nav}
+	a := &Assigner{d: d, sol: sol, bindings: make(map[string]tableBinding, len(sol.Tables))}
 	for name, ts := range sol.Tables {
+		b := tableBinding{mapper: ts.Mapper}
 		if !ts.Replicate {
-			a.bindings[name] = tableBinding{
-				path:   ts.Path,
-				pathID: ts.Path.String(),
-				mapper: ts.Mapper,
-			}
+			b.ev = db.NewPathEval(d, ts.Path)
 		}
+		a.bindings[name] = b
 	}
 	cAssigners.Inc()
 	return a, nil
@@ -144,40 +123,26 @@ func NewAssignerCached(d *db.DB, sol *partition.Solution, nav *NavCache) (*Assig
 // Solution returns the bound solution.
 func (a *Assigner) Solution() *partition.Solution { return a.sol }
 
-// NavCache returns the assigner's FK-navigation cache (for sharing with
-// further assigners over the same database).
-func (a *Assigner) NavCache() *NavCache { return a.nav }
-
 // PlaceKey returns the partition of an accessed tuple:
 // partition.Replicated for replicated tables, a partition in [0..k)
 // otherwise. ok is false when the solution does not cover the table or the
 // tuple's join path dangles (the tuple cannot be placed, so any
-// transaction touching it is distributed). Safe for concurrent use.
+// transaction touching it is distributed). Each partitioned table's
+// binding memoizes its navigations by source key, so a tuple's chain is
+// walked once per Assigner. Safe for concurrent use.
 func (a *Assigner) PlaceKey(acc trace.Access) (int, bool) {
-	ts := a.sol.Table(acc.Table)
-	if ts == nil {
+	b, ok := a.bindings[acc.Table]
+	if !ok {
 		return 0, false
 	}
-	if ts.Replicate {
+	if b.ev == nil {
 		return partition.Replicated, true
 	}
-	b := a.bindings[acc.Table]
-	nk := navKey{path: b.pathID, key: acc.Key}
-	nv, hit := a.nav.get(nk)
-	if !hit {
-		v, ok, err := a.d.EvalPath(b.path, acc.Key)
-		if err != nil {
-			// Structural errors mean the path does not match the schema;
-			// solutions are validated up front, so treat as dangling.
-			ok = false
-		}
-		nv = navVal{v: v, ok: ok}
-		a.nav.put(nk, nv)
-	}
-	if !nv.ok {
+	v, ok := b.ev.Eval(acc.Key)
+	if !ok {
 		return 0, false
 	}
-	return b.mapper.Map(nv.v), true
+	return b.mapper.Map(v), true
 }
 
 // TxnPartitions classifies a transaction under the bound solution: the set
@@ -219,48 +184,10 @@ func Evaluate(d *db.DB, sol *partition.Solution, tr *trace.Trace) (*Result, erro
 	return a.Evaluate(tr), nil
 }
 
-// Evaluate scores the bound solution on a trace (sequentially; see
-// EvaluateParallel for the sharded form — both produce identical Results).
+// Evaluate scores the bound solution on a row trace: the trace is
+// columnarized, indexed (Index) and scored by PlaceIndex.Evaluate.
 func (a *Assigner) Evaluate(tr *trace.Trace) *Result {
-	return a.EvaluateParallel(tr, 1)
-}
-
-// evalShard scores the half-open transaction range [lo, hi) of a trace
-// into a private Result. Because per-transaction scoring is independent
-// and Result merging is pure integer addition, sharding the trace into
-// contiguous ranges and merging in range order is bit-identical to the
-// sequential loop.
-func (a *Assigner) evalShard(tr *trace.Trace, lo, hi int) *Result {
-	r := &Result{
-		Solution: a.sol.Name,
-		K:        a.sol.K,
-		ByClass:  make(map[string]*ClassResult),
-	}
-	for i := lo; i < hi; i++ {
-		t := tr.At(i)
-		cr, ok := r.ByClass[t.Class]
-		if !ok {
-			cr = &ClassResult{Class: t.Class}
-			r.ByClass[t.Class] = cr
-		}
-		r.Total++
-		cr.Total++
-		parts, writesReplicated, allPlaced := a.TxnPartitions(t)
-		distributed := writesReplicated || !allPlaced || parts.Len() > 1
-		if distributed {
-			r.Distributed++
-			cr.Distributed++
-			touched := parts.Len()
-			if writesReplicated || !allPlaced {
-				touched = a.sol.K
-			}
-			if touched < 2 {
-				touched = 2
-			}
-			r.TouchSum += touched
-		}
-	}
-	return r
+	return a.Index(trace.Columnarize(tr)).Evaluate()
 }
 
 // merge folds o into r (commutative and associative over the counters;
@@ -279,45 +206,4 @@ func (r *Result) merge(o *Result) {
 		cr.Total += oc.Total
 		cr.Distributed += oc.Distributed
 	}
-}
-
-// EvaluateParallel scores the bound solution on a trace with the given
-// worker count, sharding the transactions into contiguous ranges scored
-// concurrently and merged deterministically in shard order. The result is
-// bit-identical for any workers >= 1 (workers <= 1, or traces too small
-// to shard, take the sequential path). Safe for concurrent use: many
-// EvaluateParallel calls may run against one shared Assigner.
-func (a *Assigner) EvaluateParallel(tr *trace.Trace, workers int) *Result {
-	n := tr.Len()
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		r := a.evalShard(tr, 0, n)
-		cEvaluations.Inc()
-		cTxnsScored.Add(int64(r.Total))
-		cTxnsDist.Add(int64(r.Distributed))
-		return r
-	}
-	gEvalWorkers.Set(float64(workers))
-	shards := make([]*Result, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * n / workers
-		hi := (w + 1) * n / workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			shards[w] = a.evalShard(tr, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	r := shards[0]
-	for _, s := range shards[1:] {
-		r.merge(s)
-	}
-	cEvaluations.Inc()
-	cTxnsScored.Add(int64(r.Total))
-	cTxnsDist.Add(int64(r.Distributed))
-	return r
 }

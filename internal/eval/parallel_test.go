@@ -7,10 +7,12 @@ import (
 	"testing"
 
 	"repro/internal/fixture"
+	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
-// resultFingerprint renders the fields EvaluateParallel must reproduce
-// bit-identically for any worker count.
+// resultFingerprint renders the fields two evaluations must agree on
+// bit for bit.
 func resultFingerprint(t *testing.T, r *Result) string {
 	t.Helper()
 	type classJSON struct {
@@ -36,40 +38,10 @@ func resultFingerprint(t *testing.T, r *Result) string {
 	return string(b)
 }
 
-// TestEvaluateParallelMatchesSequential is the evaluator half of the
-// determinism contract: sharded evaluation is bit-identical to the
-// sequential loop for any worker count, including counts larger than
-// the trace.
-func TestEvaluateParallelMatchesSequential(t *testing.T) {
-	d := fixture.CustInfoDB()
-	tr := fixture.MixedTrace(d, 500, 7)
-	for _, sol := range []struct {
-		name string
-		k    int
-	}{{"join-extension", 4}, {"naive", 4}, {"join-extension", 8}} {
-		s := joinExtensionSolution(sol.k)
-		if sol.name == "naive" {
-			s = naiveSolution(sol.k)
-		}
-		a, err := NewAssigner(d, s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := resultFingerprint(t, a.Evaluate(tr))
-		for _, workers := range []int{1, 2, 3, 8, 16, 1000} {
-			got := resultFingerprint(t, a.EvaluateParallel(tr, workers))
-			if got != want {
-				t.Fatalf("%s k=%d workers=%d: result diverged\n got %s\nwant %s",
-					sol.name, sol.k, workers, got, want)
-			}
-		}
-	}
-}
-
 // TestAssignerSharedStress hammers one shared Assigner from 16 goroutines
-// mixing PlaceKey, Distributed, and full EvaluateParallel calls — the
-// access pattern of the parallel phase-3 search. Run under -race this is
-// the concurrency-safety proof for Assigner + NavCache.
+// mixing PlaceKey, Distributed, and full Evaluate calls. Run under -race
+// this is the concurrency-safety proof for the Assigner and its per-table
+// PlaceKey memos.
 func TestAssignerSharedStress(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 400, 11)
@@ -89,7 +61,7 @@ func TestAssignerSharedStress(t *testing.T) {
 			for iter := 0; iter < 20; iter++ {
 				switch (g + iter) % 3 {
 				case 0:
-					got := resultFingerprint(t, a.EvaluateParallel(tr, 1+g%4))
+					got := resultFingerprint(t, a.Evaluate(tr))
 					if got != want {
 						errs <- fmt.Errorf("goroutine %d iter %d: result diverged", g, iter)
 						return
@@ -113,42 +85,30 @@ func TestAssignerSharedStress(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	if a.NavCache().Len() == 0 {
-		t.Fatal("NavCache empty after stress: memoization not engaged")
-	}
 }
 
-// TestNavCacheSharedAcrossAssigners verifies the phase-3 sharing contract:
-// assigners over the same database reuse one NavCache, and placements stay
-// correct when solutions differ only in mapper (same join paths).
-func TestNavCacheSharedAcrossAssigners(t *testing.T) {
+// TestColumnsSharedAcrossAssigners verifies the phase-3 sharing contract:
+// assigners over one column cache navigate each (table, join path) once,
+// and placements stay correct when solutions differ only in mapper (same
+// join paths).
+func TestColumnsSharedAcrossAssigners(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 200, 3)
-	nav := NewNavCache()
-	a1, err := NewAssignerCached(d, joinExtensionSolution(4), nav)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1 := a1.Evaluate(tr)
-	filled := nav.Len()
-	if filled == 0 {
-		t.Fatal("first evaluation did not fill the shared cache")
-	}
-	a2, err := NewAssignerCached(d, joinExtensionSolution(8), nav)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2 := a2.Evaluate(tr)
-	if nav.Len() != filled {
-		t.Fatalf("same join paths re-filled cache: %d -> %d entries", filled, nav.Len())
-	}
-	// Both are the paper's perfect partitioning; costs must both be 0 on
-	// the pure CustInfo portion and equal overall class totals.
-	if r1.Total != r2.Total {
-		t.Fatalf("totals diverged: %d vs %d", r1.Total, r2.Total)
-	}
-	if a1.NavCache() != a2.NavCache() {
-		t.Fatal("assigners do not share the NavCache")
+	cs := NewColumns(d, trace.Columnarize(tr))
+	evals := obs.Default.Counter("db.path_evals")
+	for _, k := range []int{4, 8} {
+		a, err := NewAssigner(d, joinExtensionSolution(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := evals.Value()
+		got := resultFingerprint(t, a.IndexColumns(cs).Evaluate())
+		if navigated := evals.Value() - before; k == 8 && navigated != 0 {
+			t.Errorf("k=%d: same join paths navigated %d keys again", k, navigated)
+		}
+		if want := resultFingerprint(t, a.Evaluate(tr)); got != want {
+			t.Errorf("k=%d: shared-cache result diverged\n got %s\nwant %s", k, got, want)
+		}
 	}
 }
 
@@ -166,8 +126,8 @@ func TestEvaluatePackageLevelUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2 := a.EvaluateParallel(tr, 4)
+	r2 := a.Index(trace.Columnarize(tr)).Evaluate()
 	if resultFingerprint(t, r1) != resultFingerprint(t, r2) {
-		t.Fatal("package-level Evaluate diverged from EvaluateParallel")
+		t.Fatal("package-level Evaluate diverged from the Assigner's index")
 	}
 }

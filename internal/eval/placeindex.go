@@ -21,10 +21,8 @@ const (
 // every distinct (table, key) pair in a columnar trace, resolved once
 // into a dense array indexed by the trace's interned key ids. Scoring a
 // transaction then costs one array load per access — no string hashing,
-// no navigation, no allocation. It replaces per-access NavCache probes
-// on the evaluator's hot path; the NavCache still backs the build, so
-// indexes built chunk-by-chunk over a streaming trace re-walk each join
-// path only once.
+// no navigation, no allocation. It is the one evaluator: Evaluate,
+// EvaluateStream and JECB's candidate costing all score through it.
 type PlaceIndex struct {
 	a     *Assigner
 	c     *trace.Columnar
@@ -32,22 +30,44 @@ type PlaceIndex struct {
 }
 
 // Index resolves every distinct key of the columnar trace through the
-// bound solution. Safe for concurrent use once built.
+// bound solution, over a private column cache. Safe for concurrent use
+// once built.
 func (a *Assigner) Index(c *trace.Columnar) *PlaceIndex {
+	return a.IndexColumns(NewColumns(a.d, c))
+}
+
+// IndexColumns builds the index of the cache's trace from its value
+// columns: each partitioned table's placement is its mapper run over the
+// column's distinct values, gathered per key. Columns already filled by
+// earlier calls are not navigated again, so costing many candidate
+// solutions over one cache navigates each (table, join path) once.
+func (a *Assigner) IndexColumns(cs *Columns) *PlaceIndex {
+	c := cs.c
 	idx := &PlaceIndex{a: a, c: c, place: make([]int32, c.NumKeys())}
-	var acc trace.Access
-	for keyID := 0; keyID < c.NumKeys(); keyID++ {
-		tid, key := c.KeyOf(uint32(keyID))
-		acc.Table = c.TableName(tid)
-		acc.Key = key
-		p, ok := a.PlaceKey(acc)
-		switch {
-		case !ok:
-			idx.place[keyID] = placeUnplaced
-		case p == partition.Replicated:
-			idx.place[keyID] = placeReplicated
-		default:
-			idx.place[keyID] = int32(p)
+	for tid, keys := range cs.keys {
+		name := c.TableName(uint32(tid))
+		b, ok := a.bindings[name]
+		if !ok || b.ev == nil {
+			p := placeUnplaced
+			if ok {
+				p = placeReplicated
+			}
+			for _, id := range keys {
+				idx.place[id] = p
+			}
+			continue
+		}
+		col := cs.Column(name, b.ev.Path())
+		mapped := make([]int32, len(col.vals))
+		for i, v := range col.vals {
+			mapped[i] = int32(b.mapper.Map(v))
+		}
+		for i, id := range keys {
+			if vid := col.ids[i]; vid >= 0 {
+				idx.place[id] = mapped[vid]
+			} else {
+				idx.place[id] = placeUnplaced
+			}
 		}
 	}
 	cIndexBuilds.Inc()
@@ -74,8 +94,14 @@ func (idx *PlaceIndex) TxnPartitions(i int) (parts partition.Set, writesReplicat
 	return parts, writesReplicated, allPlaced
 }
 
-// Evaluate scores the indexed trace, producing a Result identical to the
-// row evaluator's on the equivalent trace. Class tallies accumulate in
+// Distributed applies Definition 5 to transaction i of the indexed
+// trace.
+func (idx *PlaceIndex) Distributed(i int) bool {
+	parts, writesReplicated, allPlaced := idx.TxnPartitions(i)
+	return writesReplicated || !allPlaced || parts.Len() > 1
+}
+
+// Evaluate scores the indexed trace. Class tallies accumulate in
 // arrays indexed by interned class id; the ByClass map is built once at
 // the end, so the per-transaction loop does not allocate.
 func (idx *PlaceIndex) Evaluate() *Result {
@@ -143,8 +169,7 @@ func (a *Assigner) EvaluateColumnar(c *trace.Columnar) *Result {
 }
 
 // EvaluateStream scores the bound solution on a streaming columnar
-// trace, one chunk at a time: each chunk gets a fresh PlaceIndex (the
-// shared NavCache memoizes join-path navigations across chunks) and its
+// trace, one chunk at a time: each chunk gets a fresh PlaceIndex and its
 // tallies merge in chunk order, so the Result is identical to loading
 // the whole trace and evaluating it in memory — without ever holding
 // more than one chunk.

@@ -9,8 +9,10 @@ import (
 	"repro/internal/trace"
 )
 
-// TestPlaceIndexMatchesEvaluate: the indexed columnar evaluator and the
-// row evaluator must agree bit-for-bit, including per-txn classification.
+// TestPlaceIndexMatchesEvaluate: the index's per-transaction
+// classification must agree with per-access placement (PlaceKey through
+// the memoized join paths), and the row and columnar entry points must
+// produce the same Result.
 func TestPlaceIndexMatchesEvaluate(t *testing.T) {
 	d := fixture.CustInfoDB()
 	tr := fixture.MixedTrace(d, 500, 7)
@@ -93,7 +95,7 @@ func TestEvaluateAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := trace.Columnarize(tr)
-	idx := a.Index(c) // build (and NavCache warm-up) excluded from the budget
+	idx := a.Index(c) // index build (column fills) excluded from the budget
 	allocs := testing.AllocsPerRun(20, func() {
 		idx.Evaluate()
 	})

@@ -84,6 +84,8 @@ type Columnar struct {
 
 	sortedClasses []string
 	mix           map[string]float64
+
+	keyBuf []byte // Add's composite-key scratch
 }
 
 // NewColumnar returns an empty columnar trace ready to Add into.
@@ -96,11 +98,27 @@ func NewColumnar() *Columnar {
 	}
 }
 
-// Columnarize converts a row trace to the columnar representation.
+// Columnarize converts a row trace to the columnar representation. The
+// parameter maps are shared with tr (traces are immutable once built;
+// Materialize shares them the same way) and the columns are sized up
+// front, so the conversion allocates once per distinct key plus a
+// constant.
 func Columnarize(tr *Trace) *Columnar {
 	c := NewColumnar()
+	n := len(tr.txns)
+	accesses := 0
 	for i := range tr.txns {
-		c.Add(&tr.txns[i])
+		accesses += len(tr.txns[i].Accesses)
+	}
+	c.ids = make([]int32, 0, n)
+	c.classIDs = make([]uint32, 0, n)
+	c.params = make([]map[string]value.Value, 0, n)
+	c.offsets = append(make([]uint32, 0, n+1), 0)
+	c.accTable = make([]uint32, 0, accesses)
+	c.accKey = make([]uint32, 0, accesses)
+	c.accWrite = make([]uint64, 0, (accesses+63)/64)
+	for i := range tr.txns {
+		c.add(&tr.txns[i], tr.txns[i].Params)
 	}
 	return c
 }
@@ -108,8 +126,6 @@ func Columnarize(tr *Trace) *Columnar {
 // Add appends one transaction (copied into the columns; t is not
 // retained). Derived views (Classes, Mix) are invalidated.
 func (c *Columnar) Add(t *Txn) {
-	c.ids = append(c.ids, int32(t.ID))
-	c.classIDs = append(c.classIDs, c.classes.ID(t.Class))
 	var p map[string]value.Value
 	if len(t.Params) > 0 {
 		p = make(map[string]value.Value, len(t.Params))
@@ -117,7 +133,14 @@ func (c *Columnar) Add(t *Txn) {
 			p[k] = v
 		}
 	}
-	c.params = append(c.params, p)
+	c.add(t, p)
+}
+
+// add appends t with the given parameter map.
+func (c *Columnar) add(t *Txn, params map[string]value.Value) {
+	c.ids = append(c.ids, int32(t.ID))
+	c.classIDs = append(c.classIDs, c.classes.ID(t.Class))
+	c.params = append(c.params, params)
 	for _, a := range t.Accesses {
 		tid := c.tables.ID(a.Table)
 		c.accTable = append(c.accTable, tid)
@@ -134,10 +157,11 @@ func (c *Columnar) Add(t *Txn) {
 	c.sortedClasses, c.mix = nil, nil
 }
 
+// internKey builds the composite key in the reused buffer, so only a
+// key's first sighting allocates (its interned string).
 func (c *Columnar) internKey(tableID uint32, key value.Key) uint32 {
-	var pre [4]byte
-	binary.BigEndian.PutUint32(pre[:], tableID)
-	return c.keys.ID(string(pre[:]) + string(key))
+	c.keyBuf = append(binary.BigEndian.AppendUint32(c.keyBuf[:0], tableID), key...)
+	return c.keys.idBytes(c.keyBuf)
 }
 
 // LookupKey returns the key id for (table, key) without interning, for
@@ -165,6 +189,10 @@ func (c *Columnar) NumTables() int { return c.tables.Len() }
 
 // NumClasses returns the number of distinct transaction classes.
 func (c *Columnar) NumClasses() int { return c.classes.Len() }
+
+// TableID returns the id of a table name, or false when no access of
+// the trace touches the table.
+func (c *Columnar) TableID(name string) (uint32, bool) { return c.tables.Lookup(name) }
 
 // TableName resolves a table id.
 func (c *Columnar) TableName(id uint32) string { return c.tables.Name(id) }

@@ -406,3 +406,18 @@ func FuzzColumnarRoundTrip(f *testing.F) {
 		assertSameTxns(t, c2, c)
 	})
 }
+
+// TestColumnarizeAllocs gates the conversion's allocations: one per
+// distinct key (its interned string), plus a constant for the presized
+// columns and the dictionaries' growth. The NumTxns term is headroom; a
+// per-access allocation (the composite key built by concatenation) blows
+// the budget.
+func TestColumnarizeAllocs(t *testing.T) {
+	tr := colSampleTrace(3000)
+	var c *Columnar
+	allocs := testing.AllocsPerRun(5, func() { c = Columnarize(tr) })
+	if budget := float64(c.NumKeys() + c.NumTxns() + 64); allocs > budget {
+		t.Errorf("Columnarize = %.0f mallocs for %d keys and %d txns, budget %.0f",
+			allocs, c.NumKeys(), c.NumTxns(), budget)
+	}
+}

@@ -33,6 +33,15 @@ func (d *Dict) ID(s string) uint32 {
 	return id
 }
 
+// idBytes is ID for a string held in a byte buffer: a hit does not
+// allocate, and b is copied only when first interned.
+func (d *Dict) idBytes(b []byte) uint32 {
+	if id, ok := d.ids[string(b)]; ok {
+		return id
+	}
+	return d.ID(string(b))
+}
+
 // Lookup returns the id of s without interning it.
 func (d *Dict) Lookup(s string) (uint32, bool) {
 	id, ok := d.ids[s]

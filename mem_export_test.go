@@ -1,6 +1,6 @@
 // Memory-trajectory export: TestMemBenchExport writes BENCH_mem.json,
-// the allocation record of the evaluator hot path (allocs/op and B/op on
-// the indexed columnar path vs. the legacy row path) plus a big-trace
+// the allocation record of the one evaluator's hot path (allocs/op and
+// B/op of PlaceIndex.Evaluate over a prebuilt index) plus a big-trace
 // streaming run: a trace of >= 10M tuple accesses synthesized directly
 // to a columnar file and partition-scored through the streaming reader,
 // with the process's peak RSS recorded against a lower bound on what the
@@ -54,13 +54,12 @@ type bigTraceRecord struct {
 }
 
 type memExport struct {
-	GoVersion      string         `json:"go_version"`
-	GOOS           string         `json:"goos"`
-	GOARCH         string         `json:"goarch"`
-	WrittenAt      string         `json:"written_at"`
-	Evaluate       memBenchRecord `json:"evaluate"`
-	EvaluateLegacy memBenchRecord `json:"evaluate_legacy"`
-	BigTrace       bigTraceRecord `json:"bigtrace"`
+	GoVersion string         `json:"go_version"`
+	GOOS      string         `json:"goos"`
+	GOARCH    string         `json:"goarch"`
+	WrittenAt string         `json:"written_at"`
+	Evaluate  memBenchRecord `json:"evaluate"`
+	BigTrace  bigTraceRecord `json:"bigtrace"`
 }
 
 func toMemRecord(res testing.BenchmarkResult) memBenchRecord {
@@ -91,10 +90,7 @@ func TestMemBenchExport(t *testing.T) {
 		WrittenAt: time.Now().UTC().Format(time.RFC3339),
 		Evaluate:  toMemRecord(testing.Benchmark(BenchmarkEvaluate)),
 	}
-	doc.EvaluateLegacy = toMemRecord(testing.Benchmark(BenchmarkEvaluateLegacy))
-	t.Logf("Evaluate: %d allocs/op %d B/op (legacy: %d allocs/op %d B/op)",
-		doc.Evaluate.AllocsPerOp, doc.Evaluate.BytesPerOp,
-		doc.EvaluateLegacy.AllocsPerOp, doc.EvaluateLegacy.BytesPerOp)
+	t.Logf("Evaluate: %d allocs/op %d B/op", doc.Evaluate.AllocsPerOp, doc.Evaluate.BytesPerOp)
 
 	// Synthesize the big trace straight to disk: the template workload is
 	// replayed with fresh transaction ids until the access target is met,
